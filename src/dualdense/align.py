@@ -12,14 +12,12 @@ reachability.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import Graph
+from .graph import Graph, bfs
 
 MATCH = "match"
 GAP = "gap"
@@ -57,8 +55,8 @@ def gap_weight(rule: GapWeightRule, w_c: float, d: int) -> float:
 class AlignmentGraph:
     """A weighted graph over composite nodes plus per-edge match/gap tags.
 
-    Composite node k corresponds to correspondence pair k; its label joins
-    the conceptual and physical labels with '|'.  ``kinds`` maps each edge
+    Composite node k corresponds to correspondence pair k; its label is
+    ``composite_label(conceptual, physical)``.  ``kinds`` maps each edge
     (u, v) with u < v to ("match", 1) or ("gap", d).
     """
 
@@ -82,51 +80,31 @@ def check_delta(delta) -> float:
     return delta
 
 
-def _hop_distances(g: Graph, source: int, targets: set[int], cap: float) -> dict[int, int]:
-    """BFS from source, truncated at depth cap, reporting distances to the
-    requested targets only.  Stops early once every target is resolved."""
-    found: dict[int, int] = {}
-    remaining = set(targets)
-    if source in remaining:
-        found[source] = 0
-        remaining.discard(source)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue and remaining:
-        x = queue.popleft()
-        d = dist[x]
-        if d >= cap:
-            break
-        for y in g.neighbors(x):
-            if y not in dist:
-                dist[y] = d + 1
-                if y in remaining:
-                    found[y] = d + 1
-                    remaining.discard(y)
-                    if not remaining:
-                        return found
-                queue.append(y)
-    return found
+def _escape(part: str) -> str:
+    return part.replace("\\", "\\\\").replace("|", "\\|")
+
+
+def composite_label(conceptual: str, physical: str) -> str:
+    """``conceptual|physical``, with backslash and '|' escaped inside each
+    part so that distinct pairs never share a label."""
+    return f"{_escape(conceptual)}|{_escape(physical)}"
 
 
 def build_alignment_graph(dn: DualNetwork, delta=4,
-                          gap_mode: GapWeightRule = GapWeightRule.PER_HOP,
-                          workers: int = 1) -> AlignmentGraph:
+                          gap_mode: GapWeightRule = GapWeightRule.PER_HOP) -> AlignmentGraph:
     """Merge a dual network into its weighted alignment graph.
 
     Candidate edges are the conceptual edges whose endpoints are both
     covered by the correspondence (every alignment edge requires conceptual
     adjacency, so scanning all composite-node pairs is never needed).
-    Physical hop distances are resolved by per-source BFS truncated at
-    delta; with ``workers`` > 1 the BFS batches run on a thread pool, and
-    the result is identical to sequential construction because edges are
-    assembled afterwards in conceptual-edge order.
+    Physical hop distances are resolved by one BFS per source, truncated at
+    delta and stopped once all of that source's targets are found.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
         raise ConfigError(f"unknown gap weight rule: {gap_mode!r}")
 
-    labels = [f"{c}|{p}" for c, p in dn.correspondence.pairs]
+    labels = [composite_label(c, p) for c, p in dn.correspondence.pairs]
 
     # Candidate scan: conceptual edges between covered nodes.
     candidates: list[tuple[int, int, float, int, int]] = []
@@ -146,15 +124,8 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
                 src, dst = (pi, pj) if pi < pj else (pj, pi)
                 queries.setdefault(src, set()).add(dst)
 
-    resolved: dict[int, dict[int, int]] = {}
-    sources = sorted(queries)
-    if workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(lambda s: _hop_distances(physical, s, queries[s], delta), sources)
-            resolved = dict(zip(sources, results))
-    else:
-        for s in sources:
-            resolved[s] = _hop_distances(physical, s, queries[s], delta)
+    resolved = {s: dict(bfs(physical, (s,), delta, targets=dsts)[1])
+                for s, dsts in queries.items()}
 
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .formats import CheckinRecord
-from .graph import Graph
+from .graph import Graph, bfs
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -35,23 +34,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def _hop_pairs(g: Graph, max_hops: int) -> list[tuple[int, int]]:
     """Node pairs (u, v), u < v, within max_hops hops of each other."""
-    pairs: list[tuple[int, int]] = []
-    for u in range(g.n):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            d = dist[x]
-            if d >= max_hops:
-                continue
-            for y in g.neighbors(x):
-                if y not in dist:
-                    dist[y] = d + 1
-                    if y > u:
-                        pairs.append((u, y))
-                    queue.append(y)
-    pairs.sort()
-    return pairs
+    return sorted((u, v) for u in range(g.n) for v in bfs(g, (u,), max_hops)[0] if v > u)
 
 
 def mean_positions(checkins: Iterable[CheckinRecord]) -> dict[str, tuple[float, float]]:

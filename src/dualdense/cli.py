@@ -63,7 +63,6 @@ def _options(args) -> DcsOptions:
         gap_mode=GapWeightRule(args.gap_mode),
         connectivity=Connectivity(args.connectivity),
         repair=not args.no_repair,
-        workers=args.workers,
     )
 
 
@@ -87,8 +86,7 @@ def cmd_dcs(args) -> int:
 
 def cmd_align(args) -> int:
     dn = _load_dual(args)
-    ag = build_alignment_graph(dn, _parse_delta(args.delta),
-                               GapWeightRule(args.gap_mode), workers=args.workers)
+    ag = build_alignment_graph(dn, _parse_delta(args.delta), GapWeightRule(args.gap_mode))
     _emit(formats.export_graph(ag, args.format), args.output)
     return EXIT_OK
 
@@ -137,9 +135,13 @@ def cmd_gen(args) -> int:
     dn = inst.dual
     formats.write_edge_list(dn.conceptual, os.path.join(args.out_dir, "conceptual.tsv"), True)
     formats.write_edge_list(dn.physical, os.path.join(args.out_dir, "physical.tsv"), False)
+    # Edge lists cannot name isolated nodes, so a pair is written only when
+    # both of its nodes appear in the written edge lists.
     with open(os.path.join(args.out_dir, "correspondence.tsv"), "w", encoding="utf-8") as fh:
-        for c, p in dn.correspondence.pairs:
-            fh.write(f"{c}\t{p}\n")
+        for k, (c, p) in enumerate(dn.correspondence.pairs):
+            if (dn.conceptual.degree(dn.pair_conceptual[k])
+                    and dn.physical.degree(dn.pair_physical[k])):
+                fh.write(f"{c}\t{p}\n")
     meta = {
         "seed": inst.seed,
         "nodes": args.nodes,
@@ -192,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", default="4",
                        help="gap threshold: positive integer or 'inf' (default 4)")
         p.add_argument("--gap-mode", default="per-hop", choices=["conceptual", "per-hop"])
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads for alignment distance queries")
 
     p = sub.add_parser("dcs", help="full pipeline: alignment, peeling, connectivity")
     add_dual_inputs(p)

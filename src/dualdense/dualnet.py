@@ -67,7 +67,7 @@ class DualNetwork:
 
     __slots__ = ("conceptual", "physical", "correspondence",
                  "pair_conceptual", "pair_physical",
-                 "pair_of_conceptual", "pair_of_physical")
+                 "pair_of_conceptual", "pair_of_physical", "_pair_graph")
 
     def __init__(self, conceptual: Graph, physical: Graph, correspondence: Correspondence):
         report = validate(conceptual, physical, correspondence)
@@ -90,6 +90,7 @@ class DualNetwork:
         self.pair_physical = [physical.index_of(p) for _, p in correspondence.pairs]
         self.pair_of_conceptual = {c: k for k, c in enumerate(self.pair_conceptual)}
         self.pair_of_physical = {p: k for k, p in enumerate(self.pair_physical)}
+        self._pair_graph: Graph | None = None
 
     @property
     def pair_count(self) -> int:
@@ -107,18 +108,22 @@ class DualNetwork:
     def physical_nodes(self, members: Iterable[int]) -> set[int]:
         return {self.pair_physical[k] for k in self._check(members)}
 
-    def physical_pair_adjacency(self) -> list[list[int]]:
-        """Adjacency over pair ids induced by physical edges between covered
-        nodes; each row sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.pair_count)]
-        for k, p in enumerate(self.pair_physical):
-            for q in self.physical.neighbors(p):
-                j = self.pair_of_physical.get(q)
-                if j is not None:
-                    adj[k].append(j)
-        for row in adj:
-            row.sort()
-        return adj
+    @property
+    def pair_graph(self) -> Graph:
+        """The physical graph induced on covered nodes, re-indexed by pair id
+        and labelled with the physical labels.  Built on first use (only
+        repair and the oracle need it) and cached."""
+        if self._pair_graph is None:
+            pair_of = self.pair_of_physical
+            edges = []
+            for k, p in enumerate(self.pair_physical):
+                for q in self.physical.neighbors(p):
+                    j = pair_of.get(q)
+                    if j is not None and k < j:
+                        edges.append((k, j, 1.0))
+            labels = [self.physical.labels[p] for p in self.pair_physical]
+            self._pair_graph = Graph(labels, edges)
+        return self._pair_graph
 
     def _check(self, members: Iterable[int]) -> set[int]:
         S = set(members)

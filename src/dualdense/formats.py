@@ -38,42 +38,34 @@ def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None)
     are non-positive weights and self-loops.  Duplicate edges collapse to
     the maximum weight (counted on the resulting graph).
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    expected = 3 if weighted else 2
 
-    def intern(lab: str) -> int:
-        i = index.get(lab)
-        if i is None:
-            i = len(labels)
-            index[lab] = i
-            labels.append(lab)
-        return i
+    def triples():
+        for line_no, raw in enumerate(source, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != expected:
+                raise ParseError(
+                    f"expected {expected} fields ({'src dst weight' if weighted else 'src dst'}),"
+                    f" got {len(parts)}", line_no, name)
+            src, dst = parts[0], parts[1]
+            if src == dst:
+                raise ParseError(f"self-loop on {src!r}", line_no, name)
+            if weighted:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise ParseError(f"invalid weight {parts[2]!r}", line_no, name) from None
+                if not math.isfinite(w) or w <= 0:
+                    raise ParseError(f"edge weight must be positive, got {parts[2]}",
+                                     line_no, name)
+            else:
+                w = 1.0
+            yield src, dst, w
 
-    edges: list[tuple[int, int, float]] = []
-    for line_no, raw in enumerate(source, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        expected = 3 if weighted else 2
-        if len(parts) != expected:
-            raise ParseError(
-                f"expected {expected} fields ({'src dst weight' if weighted else 'src dst'}),"
-                f" got {len(parts)}", line_no, name)
-        src, dst = parts[0], parts[1]
-        if src == dst:
-            raise ParseError(f"self-loop on {src!r}", line_no, name)
-        if weighted:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(f"invalid weight {parts[2]!r}", line_no, name) from None
-            if not math.isfinite(w) or w <= 0:
-                raise ParseError(f"edge weight must be positive, got {parts[2]}", line_no, name)
-        else:
-            w = 1.0
-        edges.append((intern(src), intern(dst), w))
-    return Graph(labels, edges)
+    return Graph.from_label_edges(triples())
 
 
 def parse_correspondence(source: LineSource, name: str | None = None) -> Correspondence:
@@ -130,12 +122,13 @@ def parse_checkins(source: LineSource, name: str | None = None) -> list[CheckinR
 
 
 def load_graph(path: str, weighted: bool) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig reads a leading byte-order mark as encoding, not label text.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_edge_list(fh, weighted, name=path)
 
 
 def load_correspondence(path: str) -> Correspondence:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_correspondence(fh, name=path)
 
 

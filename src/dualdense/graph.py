@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Container, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
 LabelEdge = tuple[str, str, float]
@@ -80,20 +79,15 @@ class Graph:
         Labels are interned to dense indices in first-appearance order;
         ``nodes`` seeds extra (possibly isolated) labels ahead of the edges.
         """
-        labels: list[str] = []
         index: dict[str, int] = {}
-
-        def intern(lab: str) -> int:
-            i = index.get(lab)
-            if i is None:
-                i = len(labels)
-                index[lab] = i
-                labels.append(lab)
-            return i
-
+        intern = index.setdefault
         for lab in nodes:
-            intern(lab)
-        index_edges = [(intern(a), intern(b), w) for a, b, w in edges]
+            intern(lab, len(index))
+        # Arguments are evaluated left to right, so len(index) is the next
+        # free index whenever the label is new.
+        index_edges = [(intern(a, len(index)), intern(b, len(index)), w)
+                       for a, b, w in edges]
+        labels = list(index)
         return cls(labels, index_edges)
 
     @property
@@ -189,6 +183,65 @@ def density(g: Graph, members: Iterable[int]) -> float:
     return total / len(S)
 
 
+def bfs(g: Graph, sources: Iterable[int], cap: float = math.inf,
+        within: Optional[Container[int]] = None,
+        targets: Optional[Collection[int]] = None,
+        need: Optional[int] = None) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Multi-source breadth-first search over hop counts, ignoring weights.
+
+    Sources sit at depth 0; layers are expanded in discovery order over
+    sorted adjacency, and nodes deeper than ``cap`` are never discovered.
+    ``within`` restricts the search to an induced subgraph (sources are
+    taken as given).  Every discovered node, sources included, that lies in
+    ``targets`` is reported as a ``(node, depth)`` hit, and the search stops
+    as soon as ``need`` hits (default: all targets) are found.
+
+    Returns the parent map in discovery order (sources map to -1) and the
+    hits in discovery order.  Sorted sources and sorted adjacency make both
+    deterministic: each node's parent is its earliest-discovered neighbor
+    in the previous layer.
+    """
+    parent = dict.fromkeys(sources, -1)
+    hits: list[tuple[int, int]] = []
+    if targets is not None:
+        if need is None:
+            need = len(targets)
+        if need <= 0:
+            return parent, hits
+        for s in parent:
+            if s in targets:
+                hits.append((s, 0))
+                if len(hits) == need:
+                    return parent, hits
+    nbrs = g._nbrs
+    frontier = list(parent)
+    depth = 0
+    while frontier and depth < cap:
+        depth += 1
+        layer: list[int] = []
+        for x in frontier:
+            for y in nbrs[x]:
+                if y in parent or (within is not None and y not in within):
+                    continue
+                parent[y] = x
+                layer.append(y)
+                if targets is not None and y in targets:
+                    hits.append((y, depth))
+                    if len(hits) == need:
+                        return parent, hits
+        frontier = layer
+    return parent, hits
+
+
+def path_to(parent: dict[int, int], v: int) -> list[int]:
+    """Source-to-v path read off a ``bfs`` parent map."""
+    path = [v]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 def shortest_path_hops(g: Graph, u: int, v: int,
                        cap: float = math.inf) -> Optional[tuple[int, list[int]]]:
     """Hop distance and one shortest path from u to v, ignoring weights.
@@ -198,25 +251,10 @@ def shortest_path_hops(g: Graph, u: int, v: int,
     by the lowest neighbor index at each expansion.
     """
     _check_members(g, (u, v))
-    if u == v:
-        return 0, [u]
-    parent = {u: -1}
-    queue = deque([(u, 0)])
-    while queue:
-        x, d = queue.popleft()
-        if d >= cap:
-            break
-        for y in g.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                if y == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return d + 1, path
-                queue.append((y, d + 1))
-    return None
+    parent, hits = bfs(g, (u,), cap, targets={v})
+    if not hits:
+        return None
+    return hits[0][1], path_to(parent, v)
 
 
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:
@@ -228,17 +266,8 @@ def connected_components(g: Graph, members: Iterable[int] | None = None) -> list
     for start in sorted(S):
         if start in seen:
             continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if y in S and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
+        comp = sorted(bfs(g, (start,), within=S)[0])
+        seen.update(comp)
         components.append(comp)
     return components
 

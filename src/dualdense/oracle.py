@@ -45,7 +45,7 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
         raise ConfigError(f"max_nodes must be at least 1, got {max_nodes}")
     max_nodes = min(max_nodes, n)
 
-    adj = dn.physical_pair_adjacency()
+    adj = dn.pair_graph.neighbors
 
     # Conceptual weight between covered pairs, keyed (min, max).
     cw: dict[tuple[int, int], float] = {}
@@ -87,8 +87,8 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
             return
         for i in range(len(ext)):
             w = ext[i]
-            fresh = [u for u in adj[w] if u > anchor and u not in in_closed]
-            added = [u for u in adj[w] if u not in in_closed]
+            fresh = [u for u in adj(w) if u > anchor and u not in in_closed]
+            added = [u for u in adj(w) if u not in in_closed]
             in_closed.update(added)
             dw = 0.0
             for s in sub:
@@ -105,9 +105,9 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
 
     for anchor in range(n):
         sub.append(anchor)
-        in_closed.update(adj[anchor])
+        in_closed.update(adj(anchor))
         in_closed.add(anchor)
-        extend([u for u in adj[anchor] if u > anchor], anchor)
+        extend([u for u in adj(anchor) if u > anchor], anchor)
         in_closed.clear()
         sub.pop()
 

@@ -6,7 +6,6 @@ and physical-connectivity verification with optional repair.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -14,7 +13,7 @@ from typing import Iterable
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import connected_components, density, is_connected
+from .graph import Graph, bfs, connected_components, density, is_connected, path_to
 from .peel import PeelTrace, peel
 
 
@@ -28,15 +27,13 @@ class DcsOptions:
     """Pipeline knobs.
 
     ``repair`` only matters in STRICT mode (relaxed mode never adds
-    connector nodes).  ``workers`` > 1 parallelizes alignment-graph
-    distance queries without changing the result.
+    connector nodes).
     """
 
     delta: float = 4
     gap_mode: GapWeightRule = GapWeightRule.PER_HOP
     connectivity: Connectivity = Connectivity.STRICT
     repair: bool = True
-    workers: int = 1
 
 
 @dataclass
@@ -64,27 +61,6 @@ class DcsResult:
         return self.nodes | self.connector_nodes
 
 
-def _pair_components(adj: list[list[int]], members: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in members and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        out.append(comp)
-    return out
-
-
 def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
                                  mode: Connectivity,
                                  delta: float = math.inf) -> bool:
@@ -101,58 +77,27 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     if mode is not Connectivity.RELAXED:
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
 
-    # Auxiliary adjacency: capped BFS in the full physical graph per member.
-    g = dn.physical
-    members_phys = sorted(phys)
-    member_set = set(members_phys)
-    aux: dict[int, set[int]] = {p: set() for p in members_phys}
-    for src in members_phys:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            d = dist[x]
-            if d >= delta:
-                continue
-            for y in g.neighbors(x):
-                if y not in dist:
-                    dist[y] = d + 1
-                    if y in member_set:
-                        aux[src].add(y)
-                        aux[y].add(src)
-                    queue.append(y)
-    seen = {members_phys[0]}
-    queue = deque([members_phys[0]])
-    while queue:
-        x = queue.popleft()
-        for y in aux[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(member_set)
+    # Breadth-first search of the auxiliary graph, one layer per call: the
+    # members within delta hops of the previous layer form the next one.
+    remaining = set(phys)
+    layer = [remaining.pop()]
+    while layer and remaining:
+        hits = bfs(dn.physical, layer, delta, targets=remaining)[1]
+        layer = [p for p, _ in hits]
+        remaining.difference_update(layer)
+    return not remaining
 
 
-def _closest_other_component(adj: list[list[int]], comp: list[int],
+def _closest_other_component(g: Graph, comp: list[int],
                              others: set[int]) -> tuple[int, tuple[int, ...]] | None:
     """Multi-source BFS from one component over covered physical pairs,
     stopping at the first node belonging to another component.  Sorted
     seeds and sorted adjacency make the returned path deterministic."""
-    parent: dict[int, int] = {s: -1 for s in comp}
-    queue = deque(comp)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y in parent:
-                continue
-            parent[y] = x
-            if y in others:
-                path = [y]
-                while parent[path[-1]] != -1:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return len(path) - 1, tuple(path)
-            queue.append(y)
-    return None
+    parent, hits = bfs(g, comp, targets=others, need=1)
+    if not hits:
+        return None
+    target, depth = hits[0]
+    return depth, tuple(path_to(parent, target))
 
 
 def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[int]:
@@ -167,10 +112,10 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
     be joined through covered nodes.
     """
     S = dn._check(members)
-    adj = dn.physical_pair_adjacency()
+    g = dn.pair_graph
     current = set(S)
     connectors: set[int] = set()
-    comps = _pair_components(adj, current)
+    comps = connected_components(g, current)
     while len(comps) > 1:
         member_of = {}
         for idx, comp in enumerate(comps):
@@ -179,7 +124,7 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
         best: tuple[int, tuple[int, ...]] | None = None
         for idx, comp in enumerate(comps):
             others = {k for k in current if member_of[k] != idx}
-            hit = _closest_other_component(adj, comp, others)
+            hit = _closest_other_component(g, comp, others)
             if hit is not None and (best is None or hit < best):
                 best = hit
         if best is None:
@@ -189,7 +134,7 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
         new_nodes = [k for k in best[1] if k not in current]
         connectors.update(new_nodes)
         current.update(new_nodes)
-        comps = _pair_components(adj, current)
+        comps = connected_components(g, current)
     return frozenset(connectors)
 
 
@@ -204,7 +149,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
     """
     opts = opts or DcsOptions()
     check_delta(opts.delta)
-    ag = build_alignment_graph(dn, opts.delta, opts.gap_mode, workers=opts.workers)
+    ag = build_alignment_graph(dn, opts.delta, opts.gap_mode)
     if ag.graph.edge_count == 0:
         raise NoFeasibleSubgraph(
             "alignment graph has no edges; no multi-node candidate exists "

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dualdense import (ConfigError, Correspondence, DualNetwork, GapWeightRule,
                        Graph, build_alignment_graph, gap_weight)
-from dualdense.align import GAP, MATCH
+from dualdense.align import GAP, MATCH, composite_label
 from helpers import bfs_hops, random_dual_network
 
 
@@ -203,11 +204,12 @@ def test_connectivity_transfer(seed, n, delta):
         assert d is not None and d <= delta
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 20))
-def test_parallel_construction_identical(seed, n):
-    dn = random_dual_network(random.Random(seed), n)
-    seq = build_alignment_graph(dn, delta=3, workers=1)
-    par = build_alignment_graph(dn, delta=3, workers=4)
-    assert list(seq.graph.edges()) == list(par.graph.edges())
-    assert seq.kinds == par.kinds
+def test_composite_labels_escape_separator():
+    assert composite_label("a", "b") == "a|b"
+    assert composite_label("a|b", "c") == "a\\|b|c"
+    assert composite_label("a", "b|c") == "a|b\\|c"
+    # Injective over every pair of short strings built from the special
+    # characters.
+    parts = [""] + ["".join(p) for k in (1, 2, 3) for p in product("a|\\", repeat=k)]
+    labels = {composite_label(c, p) for c in parts for p in parts}
+    assert len(labels) == len(parts) ** 2

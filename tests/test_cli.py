@@ -61,7 +61,7 @@ class TestDcsCommand:
         out1, out2, out3 = (tmp_path / f"r{i}.json" for i in range(3))
         main(["dcs", *dual_args(toy_instance), "--output", str(out1)])
         main(["dcs", *dual_args(toy_instance), "--output", str(out2)])
-        main(["dcs", *dual_args(toy_instance), "--workers", "4", "--output", str(out3)])
+        main(["dcs", *dual_args(toy_instance), "--output", str(out3)])
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
     def test_malformed_correspondence_exit_2(self, toy_instance, tmp_path, capsys):
@@ -115,6 +115,22 @@ class TestDcsCommand:
                      "--gap-mode", "conceptual"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gap_mode"] == "conceptual"
+
+
+    def test_labels_with_separator(self, tmp_path, capsys):
+        # ("a|b", "c") and ("a", "b|c") would share the composite label a|b|c
+        # without escaping.
+        conceptual = tmp_path / "c.tsv"
+        conceptual.write_text("a|b a 1.0\n")
+        physical = tmp_path / "p.tsv"
+        physical.write_text("c b|c\n")
+        corr = tmp_path / "f.tsv"
+        corr.write_text("a|b c\na b|c\n")
+        assert main(["dcs", "--conceptual", str(conceptual), "--physical", str(physical),
+                     "--correspondence", str(corr)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["nodes"] == [["a", "b|c"], ["a|b", "c"]]
+        assert sorted(doc["peel"]["removal_order"]) == ["a\\|b|c", "a|b\\|c"]
 
 
 class TestAlignCommand:
@@ -189,6 +205,21 @@ class TestGenAndStats:
                      "--correspondence", str(out_dir / "correspondence.tsv"),
                      "--delta", "2"])
         assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [pair[0] for pair in doc["nodes"]] == meta["planted"]
+
+    def test_sparse_gen_then_dcs(self, tmp_path, capsys):
+        # At this sparsity many nodes appear in no conceptual edge; gen must
+        # not write correspondence rows that dcs would reject as dangling.
+        out_dir = tmp_path / "inst"
+        assert main(["gen", "--nodes", "2000", "--planted-size", "8",
+                     "--background-edge-prob", "0.001", "--out-dir", str(out_dir)]) == 0
+        meta = json.loads((out_dir / "instance.json").read_text())
+        code = main(["dcs",
+                     "--conceptual", str(out_dir / "conceptual.tsv"),
+                     "--physical", str(out_dir / "physical.tsv"),
+                     "--correspondence", str(out_dir / "correspondence.tsv")])
+        assert code == 0, capsys.readouterr().err
         doc = json.loads(capsys.readouterr().out)
         assert [pair[0] for pair in doc["nodes"]] == meta["planted"]
 

@@ -11,6 +11,7 @@ from dualdense.formats import (alignment_to_dot, alignment_to_graphml,
                                alignment_to_json, canonical_json, export_graph,
                                graph_from_json, graph_to_dot, graph_to_graphml,
                                graph_to_json, parse_checkins,
+                               load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list)
 from helpers import random_dual_network, random_graph
 
@@ -56,6 +57,19 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="invalid weight"):
             parse_edge_list(io.StringIO("a b heavy\n"), weighted=True)
 
+    @pytest.mark.parametrize("text, weighted, message", [
+        ("a b\nb c 0.5\n", False, "f.tsv:line 2: expected 2 fields (src dst), got 3"),
+        ("a b\n", True, "f.tsv:line 1: expected 3 fields (src dst weight), got 2"),
+        ("# c\n\nb b\n", False, "f.tsv:line 3: self-loop on 'b'"),
+        ("a b x\n", True, "f.tsv:line 1: invalid weight 'x'"),
+        ("a b 1\na c -1\n", True, "f.tsv:line 2: edge weight must be positive, got -1"),
+        ("a b nan\n", True, "f.tsv:line 1: edge weight must be positive, got nan"),
+    ])
+    def test_error_messages(self, text, weighted, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(io.StringIO(text), weighted=weighted, name="f.tsv")
+        assert str(info.value) == message
+
     @settings(max_examples=50, deadline=None)
     @given(text=st.text(alphabet="ab01 .-#\n\t", max_size=200))
     def test_totality_on_fuzz(self, text):
@@ -88,6 +102,21 @@ class TestParseCorrespondence:
 
     def test_empty_file_is_empty_correspondence(self):
         assert parse_correspondence(io.StringIO("")).pairs == ()
+
+
+def test_byte_order_mark_is_not_label_text(tmp_path):
+    files = {"c.tsv": "a b 0.5\nb c 1.0\n", "p.tsv": "a b\nb c\n", "f.tsv": "a a\nb b\n"}
+    loaded = {}
+    for bom in ("", "\ufeff"):
+        for name, text in files.items():
+            (tmp_path / name).write_text(bom + text, encoding="utf-8")
+        loaded[bom] = (load_graph(str(tmp_path / "c.tsv"), weighted=True),
+                       load_graph(str(tmp_path / "p.tsv"), weighted=False),
+                       load_correspondence(str(tmp_path / "f.tsv")))
+    (c0, p0, f0), (c1, p1, f1) = loaded[""], loaded["\ufeff"]
+    assert c1.labels == c0.labels == ("a", "b", "c")
+    assert graphs_equal(c0, c1) and graphs_equal(p0, p1)
+    assert f1 == f0
 
 
 class TestParseCheckins:

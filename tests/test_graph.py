@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density, graphs_equal, shortest_path_hops, vol
-from helpers import random_graph, subset_density
+from dualdense.graph import bfs
+from helpers import bfs_hops, random_graph, subset_density
 
 
 def triangle(w=1.0):
@@ -143,17 +144,70 @@ def test_density_matches_edge_enumeration(g, seed):
     assert density(g, S) == pytest.approx(subset_density(g, S), rel=1e-9, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(g=graphs_strategy, seed=st.integers(0, 10_000))
-def test_bfs_path_valid(g, seed):
+caps = st.sampled_from([1, 2, 3, 4, 5, math.inf])
+
+
+def reference_depths(g, sources, cap, within=None):
+    """Multi-source hop depths within cap, from per-pair helpers.bfs_hops
+    (on the induced subgraph when ``within`` is given)."""
+    h = g if within is None else g.subgraph(within)
+    to_h = {v: h.index_of(g.labels[v]) for v in (within if within is not None else range(g.n))}
+    out = {}
+    for v in to_h:
+        ds = [d for s in sources if (d := bfs_hops(h, to_h[s], to_h[v])) is not None]
+        if ds and min(ds) <= cap:
+            out[v] = min(ds)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=graphs_strategy, seed=st.integers(0, 10_000), cap=caps)
+def test_bfs_matches_reference(g, seed, cap):
+    rng = random.Random(seed)
+    sources = sorted(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+    within = None
+    if rng.random() < 0.5:
+        within = set(sources) | set(rng.sample(range(g.n), rng.randint(0, g.n)))
+    targets = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+    expected = reference_depths(g, sources, cap, within)
+
+    parent, hits = bfs(g, sources, cap, within=within)
+    assert set(parent) == set(expected) and hits == []
+    # Discovery runs layer by layer, and each parent sits one layer up.
+    depths = [expected[v] for v in parent]
+    assert depths == sorted(depths)
+    for v, p in parent.items():
+        if p == -1:
+            assert v in sources
+        else:
+            assert g.has_edge(p, v) and expected[p] == expected[v] - 1
+
+    # Targets are reported in discovery order with their depths; the search
+    # stops at the need-th hit (default: all targets), a prefix of the full one.
+    order = list(parent)
+    want = [(v, expected[v]) for v in order if v in targets]
+    for need in (None, rng.randint(1, len(targets) or 1)):
+        got_parent, got = bfs(g, sources, cap, within=within, targets=targets, need=need)
+        assert got == want[:need]
+        assert list(got_parent) == order[:len(got_parent)]
+        if got and got[-1][1] > 0 and len(got) == (need or len(targets)):
+            # The search stopped at its last hit, even mid-layer.
+            assert order[len(got_parent) - 1] == got[-1][0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=graphs_strategy, seed=st.integers(0, 10_000), cap=caps)
+def test_bfs_path_valid(g, seed, cap):
     rng = random.Random(seed)
     u, v = rng.randrange(g.n), rng.randrange(g.n)
-    hit = shortest_path_hops(g, u, v)
-    if hit is None:
+    d = bfs_hops(g, u, v)
+    hit = shortest_path_hops(g, u, v, cap)
+    if d is None or d > cap:
+        assert hit is None
         return
     dist, path = hit
-    assert len(path) == dist + 1
-    assert path[0] == u and path[-1] == v
+    assert dist == d
+    assert len(path) == d + 1 and path[0] == u and path[-1] == v
     for a, b in zip(path, path[1:]):
         assert g.has_edge(a, b)
 
