@@ -8,7 +8,7 @@ connectivity of the selection.
 """
 
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_weight
-from .dualnet import Correspondence, DualNetwork, ValidationReport, induced, validate
+from .dualnet import Correspondence, DualNetwork, induced
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError)
 from .graph import (Graph, connected_components, density, graphs_equal,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentGraph", "GapWeightRule", "build_alignment_graph", "gap_weight",
-    "Correspondence", "DualNetwork", "ValidationReport", "induced", "validate",
+    "Correspondence", "DualNetwork", "induced",
     "ConfigError", "DualDenseError", "IrreparableDisconnection",
     "NoFeasibleSubgraph", "ParseError",
     "Graph", "connected_components", "density", "graphs_equal", "is_connected",

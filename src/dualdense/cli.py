@@ -54,7 +54,7 @@ def _load_dual(args) -> DualNetwork:
     try:
         return DualNetwork(conceptual, physical, corr)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), None, args.correspondence) from None
 
 
 def _options(args) -> DcsOptions:
@@ -76,8 +76,8 @@ def cmd_dcs(args) -> int:
         final = result.all_nodes
         c_hl = {dn.conceptual.labels[i] for i in dn.conceptual_nodes(final)}
         p_hl = {dn.physical.labels[i] for i in dn.physical_nodes(final)}
-        text = (formats.graph_to_dot(dn.conceptual, name="conceptual", highlight=c_hl)
-                + formats.graph_to_dot(dn.physical, name="physical", highlight=p_hl))
+        text = (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
+                + formats.export_dot(dn.physical, name="physical", highlight=p_hl))
         _emit(text, args.output)
     else:
         raise ConfigError(f"dcs supports json or dot output, not {args.format!r}")
@@ -101,10 +101,7 @@ def cmd_peel(args) -> int:
         "node_count": len(result.nodes),
         "density": result.density,
         "exact": result.exact,
-        "removal_order": [g.labels[v] for v in trace.removal_order],
-        "density_curve": list(trace.density_at_prefix),
-        "best_prefix_index": trace.best_prefix_index,
-        "tied_prefix_indices": list(trace.tied_prefix_indices),
+        **trace.to_doc(g.labels),
     }
     _emit(formats.canonical_json(doc), args.output)
     return EXIT_OK

@@ -3,7 +3,8 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .graph import Graph
@@ -17,43 +18,6 @@ class Correspondence:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of checking a (conceptual, physical, correspondence) triple.
-
-    ``ok`` is True exactly when there are no duplicate pairs and no dangling
-    labels; unmatched node counts are informational only.
-    """
-
-    unmatched_conceptual: int = 0
-    unmatched_physical: int = 0
-    duplicate_pairs: int = 0
-    dangling_labels: list[str] = field(default_factory=list)
-    ok: bool = True
-
-
-def validate(conceptual: Graph, physical: Graph, corr: Correspondence) -> ValidationReport:
-    """Enumerate correspondence violations without raising."""
-    report = ValidationReport()
-    seen_c: set[str] = set()
-    seen_p: set[str] = set()
-    for c_label, p_label in corr.pairs:
-        if c_label in seen_c:
-            report.duplicate_pairs += 1
-        seen_c.add(c_label)
-        if p_label in seen_p:
-            report.duplicate_pairs += 1
-        seen_p.add(p_label)
-        if not conceptual.has_label(c_label) and c_label not in report.dangling_labels:
-            report.dangling_labels.append(c_label)
-        if not physical.has_label(p_label) and p_label not in report.dangling_labels:
-            report.dangling_labels.append(p_label)
-    report.unmatched_conceptual = sum(1 for lab in conceptual.labels if lab not in seen_c)
-    report.unmatched_physical = sum(1 for lab in physical.labels if lab not in seen_p)
-    report.ok = report.duplicate_pairs == 0 and not report.dangling_labels
-    return report
 
 
 class DualNetwork:
@@ -70,12 +34,33 @@ class DualNetwork:
                  "pair_of_conceptual", "pair_of_physical", "_pair_graph")
 
     def __init__(self, conceptual: Graph, physical: Graph, correspondence: Correspondence):
-        report = validate(conceptual, physical, correspondence)
+        c_index, p_index = conceptual._index, physical._index
+        pair_conceptual: list = []
+        pair_physical: list = []
+        dangling: dict[str, None] = {}  # insertion-ordered set
+        for c, p in correspondence.pairs:
+            i, j = c_index.get(c), p_index.get(p)
+            if i is None:
+                dangling[c] = None
+            if j is None:
+                dangling[p] = None
+            pair_conceptual.append(i)
+            pair_physical.append(j)
+        pair_of_conceptual = {i: k for k, i in enumerate(pair_conceptual) if i is not None}
+        pair_of_physical = {j: k for k, j in enumerate(pair_physical) if j is not None}
+
         problems = []
-        if report.duplicate_pairs:
-            problems.append(f"{report.duplicate_pairs} duplicate correspondence entries")
-        if report.dangling_labels:
-            problems.append(f"dangling labels {report.dangling_labels}")
+        # A repeated label maps to a node already in the table, so each
+        # repeat leaves the table one entry short of the covered pairs.
+        duplicates = (len(pair_conceptual) - pair_conceptual.count(None) - len(pair_of_conceptual)
+                      + len(pair_physical) - pair_physical.count(None) - len(pair_of_physical))
+        if duplicates:
+            problems.append(f"{duplicates} duplicate correspondence entries")
+        if dangling:
+            shown = [repr(label) for label in islice(dangling, 5)]
+            if len(dangling) > len(shown):
+                shown.append("...")
+            problems.append(f"{len(dangling)} dangling labels ({', '.join(shown)})")
         if len(correspondence) < 1:
             problems.append("correspondence is empty")
         if not physical.is_unit_weighted():
@@ -86,10 +71,10 @@ class DualNetwork:
         self.conceptual = conceptual
         self.physical = physical
         self.correspondence = correspondence
-        self.pair_conceptual = [conceptual.index_of(c) for c, _ in correspondence.pairs]
-        self.pair_physical = [physical.index_of(p) for _, p in correspondence.pairs]
-        self.pair_of_conceptual = {c: k for k, c in enumerate(self.pair_conceptual)}
-        self.pair_of_physical = {p: k for k, p in enumerate(self.pair_physical)}
+        self.pair_conceptual = pair_conceptual
+        self.pair_physical = pair_physical
+        self.pair_of_conceptual = pair_of_conceptual
+        self.pair_of_physical = pair_of_physical
         self._pair_graph: Graph | None = None
 
     @property

@@ -1,5 +1,9 @@
 """Parsing and serialization: edge lists, correspondence files, check-in
-CSVs, and DOT/GraphML/JSON graph exports.
+CSVs, and graph exports.
+
+There is one exporter per format (``export_json``, ``export_dot``,
+``export_graphml``); each takes a plain ``Graph`` or an ``AlignmentGraph``,
+whose edges also carry ``kind`` and ``distance``.
 
 Edge lists are whitespace-separated ``src dst [weight]`` records with ``#``
 comments; every line is either consumed, skipped as comment/blank, or
@@ -12,7 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 from xml.sax.saxutils import escape, quoteattr
 
 from .align import AlignmentGraph
@@ -121,15 +125,21 @@ def parse_checkins(source: LineSource, name: str | None = None) -> list[CheckinR
     return records
 
 
-def load_graph(path: str, weighted: bool) -> Graph:
+def _load(path: str, parse, *args):
     # utf-8-sig reads a leading byte-order mark as encoding, not label text.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_edge_list(fh, weighted, name=path)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse(fh, *args, name=path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", None, path) from None
+
+
+def load_graph(path: str, weighted: bool) -> Graph:
+    return _load(path, parse_edge_list, weighted)
 
 
 def load_correspondence(path: str) -> Correspondence:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_correspondence(fh, name=path)
+    return _load(path, parse_correspondence)
 
 
 def write_edge_list(g: Graph, path: str, weighted: bool) -> None:
@@ -141,21 +151,6 @@ def write_edge_list(g: Graph, path: str, weighted: bool) -> None:
 def canonical_json(doc) -> str:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def graph_to_doc(g: Graph) -> dict:
-    """Canonical JSON document: sorted node labels, sorted edge triples."""
-    edges = []
-    for a, b, w in g.label_edges():
-        if b < a:
-            a, b = b, a
-        edges.append([a, b, w])
-    edges.sort()
-    return {"nodes": sorted(g.labels), "edges": edges}
-
-
-def graph_to_json(g: Graph) -> str:
-    return canonical_json(graph_to_doc(g))
 
 
 def graph_from_json(text: str, name: str | None = None) -> Graph:
@@ -172,118 +167,92 @@ def graph_from_json(text: str, name: str | None = None) -> Graph:
         raise ParseError(f"bad graph JSON: {exc}", None, name) from None
 
 
-def _dot_id(label: str) -> str:
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _edge_rows(obj: Graph | AlignmentGraph) -> tuple[Graph, tuple[str, ...], Iterator[tuple]]:
+    """The graph, its edge attribute names (``weight``, plus ``kind`` and
+    ``distance`` for an alignment graph), and its edges in index order as
+    ``(label_u, label_v, attribute values)``."""
+    if isinstance(obj, AlignmentGraph):
+        g = obj.graph
+        rows = ((g.labels[u], g.labels[v], (w, *obj.kind_of(u, v))) for u, v, w in g.edges())
+        return g, ("weight", "kind", "distance"), rows
+    return obj, ("weight",), ((a, b, (w,)) for a, b, w in obj.label_edges())
 
 
-def graph_to_dot(g: Graph, name: str = "G",
-                 highlight: set[str] | None = None) -> str:
-    """DOT rendering with weight attributes; ``highlight`` labels (and edges
-    between them) are colored red."""
+def export_json(obj: Graph | AlignmentGraph) -> str:
+    """Canonical JSON: sorted node labels and sorted edges.  A plain graph's
+    edges are ``[a, b, weight]`` triples (``graph_from_json`` reads them
+    back); an alignment graph's are objects that add ``kind`` and
+    ``distance``, and the document records ``delta`` and ``gap_mode``."""
+    g, keys, rows = _edge_rows(obj)
+    # Label pairs are unique, so the sort never compares attribute values.
+    edges = sorted([*sorted((a, b)), *values] for a, b, values in rows)
+    doc = {"nodes": sorted(g.labels), "edges": edges}
+    if isinstance(obj, AlignmentGraph):
+        names = ("source", "target", *keys)
+        doc["edges"] = [dict(zip(names, edge)) for edge in edges]
+        doc["delta"] = "inf" if obj.delta == math.inf else obj.delta
+        doc["gap_mode"] = obj.gap_mode.value
+    return canonical_json(doc)
+
+
+def _dot_value(value) -> str:
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return repr(value)
+
+
+def export_dot(obj: Graph | AlignmentGraph, name: str | None = None,
+               highlight: set[str] | None = None) -> str:
+    """DOT rendering with one attribute per edge value; ``highlight``
+    labels (and edges between them) are colored red.  The graph is named
+    ``G``, or ``alignment`` for an alignment graph, unless ``name`` is
+    given."""
+    g, keys, rows = _edge_rows(obj)
+    if name is None:
+        name = "alignment" if isinstance(obj, AlignmentGraph) else "G"
+    highlight = highlight or set()
     out = [f"graph {name} {{"]
     for lab in g.labels:
-        attrs = ' [color=red, style=bold]' if highlight and lab in highlight else ""
-        out.append(f"  {_dot_id(lab)}{attrs};")
-    for a, b, w in g.label_edges():
-        attrs = [f"weight={w!r}"]
-        if highlight and a in highlight and b in highlight:
-            attrs.append("color=red")
-            attrs.append("style=bold")
-        out.append(f"  {_dot_id(a)} -- {_dot_id(b)} [{', '.join(attrs)}];")
+        attrs = " [color=red, style=bold]" if lab in highlight else ""
+        out.append(f"  {_dot_value(lab)}{attrs};")
+    for a, b, values in rows:
+        attrs = [f"{k}={_dot_value(v)}" for k, v in zip(keys, values)]
+        if a in highlight and b in highlight:
+            attrs += ["color=red", "style=bold"]
+        out.append(f"  {_dot_value(a)} -- {_dot_value(b)} [{', '.join(attrs)}];")
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def graph_to_graphml(g: Graph) -> str:
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        '  <graph edgedefault="undirected">',
-    ]
+_GRAPHML_TYPES = {"weight": "double", "kind": "string", "distance": "int"}
+
+
+def export_graphml(obj: Graph | AlignmentGraph) -> str:
+    g, keys, rows = _edge_rows(obj)
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">']
+    for k in keys:
+        out.append(f'  <key id="{k}" for="edge" attr.name="{k}" attr.type="{_GRAPHML_TYPES[k]}"/>')
+    out.append('  <graph edgedefault="undirected">')
     for lab in g.labels:
         out.append(f"    <node id={quoteattr(lab)}/>")
-    for a, b, w in g.label_edges():
+    for a, b, values in rows:
         out.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
-        out.append(f'      <data key="weight">{w!r}</data>')
+        for k, v in zip(keys, values):
+            out.append(f'      <data key="{k}">{escape(v) if isinstance(v, str) else repr(v)}</data>')
         out.append("    </edge>")
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"
 
 
-def alignment_to_doc(ag: AlignmentGraph) -> dict:
-    g = ag.graph
-    edges = []
-    for u, v, w in g.edges():
-        kind, dist = ag.kind_of(u, v)
-        a, b = g.labels[u], g.labels[v]
-        if b < a:
-            a, b = b, a
-        edges.append({"source": a, "target": b, "weight": w,
-                      "kind": kind, "distance": dist})
-    edges.sort(key=lambda e: (e["source"], e["target"]))
-    return {
-        "nodes": sorted(g.labels),
-        "edges": edges,
-        "delta": "inf" if ag.delta == math.inf else ag.delta,
-        "gap_mode": ag.gap_mode.value,
-    }
-
-
-def alignment_to_json(ag: AlignmentGraph) -> str:
-    return canonical_json(alignment_to_doc(ag))
-
-
-def alignment_to_dot(ag: AlignmentGraph, name: str = "alignment") -> str:
-    g = ag.graph
-    out = [f"graph {name} {{"]
-    for lab in g.labels:
-        out.append(f"  {_dot_id(lab)};")
-    for u, v, w in g.edges():
-        kind, dist = ag.kind_of(u, v)
-        attrs = f'weight={w!r}, kind="{kind}", distance={dist}'
-        out.append(f"  {_dot_id(g.labels[u])} -- {_dot_id(g.labels[v])} [{attrs}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def alignment_to_graphml(ag: AlignmentGraph) -> str:
-    g = ag.graph
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-        '  <key id="kind" for="edge" attr.name="kind" attr.type="string"/>',
-        '  <key id="distance" for="edge" attr.name="distance" attr.type="int"/>',
-        '  <graph edgedefault="undirected">',
-    ]
-    for lab in g.labels:
-        out.append(f"    <node id={quoteattr(lab)}/>")
-    for u, v, w in g.edges():
-        kind, dist = ag.kind_of(u, v)
-        out.append(f"    <edge source={quoteattr(g.labels[u])} target={quoteattr(g.labels[v])}>")
-        out.append(f'      <data key="weight">{w!r}</data>')
-        out.append(f'      <data key="kind">{escape(kind)}</data>')
-        out.append(f'      <data key="distance">{dist}</data>')
-        out.append("    </edge>")
-    out.append("  </graph>")
-    out.append("</graphml>")
-    return "\n".join(out) + "\n"
+_EXPORTERS = {"json": export_json, "dot": export_dot, "graphml": export_graphml}
 
 
 def export_graph(obj: Graph | AlignmentGraph, fmt: str) -> str:
     """Dispatch export by format name ('json', 'dot', 'graphml')."""
-    is_alignment = isinstance(obj, AlignmentGraph)
-    table = {
-        ("json", False): graph_to_json,
-        ("dot", False): graph_to_dot,
-        ("graphml", False): graph_to_graphml,
-        ("json", True): alignment_to_json,
-        ("dot", True): alignment_to_dot,
-        ("graphml", True): alignment_to_graphml,
-    }
     try:
-        return table[(fmt, is_alignment)](obj)
+        exporter = _EXPORTERS[fmt]
     except KeyError:
         raise ValueError(f"unknown export format {fmt!r}") from None
+    return exporter(obj)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .graph import Graph, density
 
@@ -35,6 +36,16 @@ class PeelTrace:
     def best_density(self) -> float:
         return self.density_at_prefix[self.best_prefix_index]
 
+    def to_doc(self, labels: Sequence[str]) -> dict:
+        """JSON-ready fields of the trace, with nodes named by ``labels``;
+        ``peel`` and ``dcs`` output share this serialization."""
+        return {
+            "removal_order": [labels[v] for v in self.removal_order],
+            "density_curve": list(self.density_at_prefix),
+            "best_prefix_index": self.best_prefix_index,
+            "tied_prefix_indices": list(self.tied_prefix_indices),
+        }
+
 
 @dataclass
 class DensestResult:
@@ -43,13 +54,12 @@ class DensestResult:
     exact: bool
 
 
-def peel(g: Graph, audit: bool = False) -> tuple[DensestResult, PeelTrace]:
+def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     """Greedy peeling by minimum current volume (weighted degree).
 
     Ties on volume break toward the lowest node index, which makes every
     trace reproducible.  Volumes are maintained by incremental subtraction
-    on a lazy min-heap; ``audit=True`` recomputes every live volume from
-    scratch at each step and asserts agreement (test/debug builds).
+    on a lazy min-heap.
     """
     n = g.n
     if n == 0:
@@ -70,14 +80,6 @@ def peel(g: Graph, audit: bool = False) -> tuple[DensestResult, PeelTrace]:
             val, v = heapq.heappop(heap)
             if alive[v] and val == vols[v]:
                 break
-        if audit:
-            for u in range(n):
-                if not alive[u]:
-                    continue
-                fresh = math.fsum(w for x, w in g.incident(u) if alive[x])
-                drift = abs(fresh - vols[u])
-                assert drift <= 1e-9 * max(1.0, abs(fresh)), (
-                    f"volume drift {drift} on node {u} at step {len(removal_order)}")
         removal_order.append(v)
         alive[v] = False
         remaining -= 1

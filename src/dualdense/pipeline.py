@@ -211,7 +211,6 @@ def result_to_doc(result: DcsResult, dn: DualNetwork, opts: DcsOptions) -> dict:
     def pairs_doc(members: Iterable[int]) -> list[list[str]]:
         return sorted([list(dn.pair_labels(k)) for k in members])
 
-    ag = result.alignment
     return {
         "delta": "inf" if opts.delta == math.inf else opts.delta,
         "gap_mode": opts.gap_mode.value,
@@ -225,10 +224,5 @@ def result_to_doc(result: DcsResult, dn: DualNetwork, opts: DcsOptions) -> dict:
         "alignment_density": result.alignment_density,
         "physically_connected": result.physically_connected,
         "warnings": list(result.warnings),
-        "peel": {
-            "removal_order": [ag.graph.labels[v] for v in result.trace.removal_order],
-            "density_curve": list(result.trace.density_at_prefix),
-            "best_prefix_index": result.trace.best_prefix_index,
-            "tied_prefix_indices": list(result.trace.tied_prefix_indices),
-        },
+        "peel": result.trace.to_doc(result.alignment.graph.labels),
     }

@@ -4,6 +4,7 @@ with the implementations they check)."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -60,6 +61,23 @@ def subset_density(g: Graph, members) -> float:
         if u in S and v in S:
             total += w
     return 2.0 * total / len(S)
+
+
+def check_peel_order(g: Graph, removal_order, rel_tol: float = 1e-9) -> None:
+    """Replay a peel: at every step, recompute each live node's volume from
+    scratch and assert that the removed node has the minimum, the lowest
+    index winning ties.  Volumes within ``rel_tol`` of the removed node's
+    (relative, floor 1.0) count as ties either way; ``rel_tol=0`` demands
+    exact order, which holds when every partial sum is exact."""
+    assert sorted(removal_order) == list(range(g.n))
+    alive = set(range(g.n))
+    for step, v in enumerate(removal_order):
+        vols = {u: math.fsum(w for x, w in g.incident(u) if x in alive) for u in alive}
+        floor = vols[v] - rel_tol * max(1.0, abs(vols[v]))
+        for u, vol in vols.items():
+            assert vol > floor if u < v else vol >= floor, (
+                f"step {step}: removed node {v} (volume {vols[v]}), node {u} has {vol}")
+        alive.remove(v)
 
 
 def brute_densest(g: Graph) -> tuple[float, frozenset[int]]:

@@ -73,6 +73,17 @@ class TestDcsCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, problem", [
+        ("a a\nz z\n", "1 dangling labels ('z')"),
+        ("# no pairs\n", "correspondence is empty"),
+    ])
+    def test_invalid_dual_network_cites_correspondence(self, toy_instance, tmp_path, capsys,
+                                                       rows, problem):
+        corr = tmp_path / "f.tsv"
+        corr.write_text(rows)
+        assert main(["dcs", *dual_args(dict(toy_instance, correspondence=str(corr)))]) == 2
+        assert capsys.readouterr().err == f"error: {corr}: invalid dual network: {problem}\n"
+
     def test_missing_file_exit_2(self, toy_instance, capsys):
         code = main(["dcs", "--conceptual", "/nonexistent/path.tsv",
                      "--physical", toy_instance["physical"],
@@ -234,6 +245,18 @@ class TestGenAndStats:
         assert doc["edge_ratio_density"] == 1.0  # m/n
         assert doc["edge_fraction_density"] == 1.0  # 2m/(n(n-1))
         assert doc["components"] == 1
+
+
+@pytest.mark.parametrize("command", ["dcs", "stats"])
+def test_non_utf8_input_exit_2(toy_instance, tmp_path, capsys, command):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"a b 1.0\n\xff\xfe c 1.0\n")
+    if command == "dcs":
+        args = ["dcs", *dual_args(dict(toy_instance, conceptual=str(bad)))]
+    else:
+        args = ["stats", "--graph", str(bad)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_module_entry_point(toy_instance):

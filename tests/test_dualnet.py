@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Correspondence, DualNetwork, Graph, density, induced, validate
+from dualdense import Correspondence, DualNetwork, Graph, density, induced
 from helpers import random_dual_network
 
 
@@ -15,37 +15,53 @@ def small_pair():
 
 
 class TestValidate:
+    """Correspondence checks made when a DualNetwork is built."""
+
     def test_clean(self):
         c, p = small_pair()
-        corr = Correspondence((("w1", "v1"), ("w2", "v2"), ("w3", "v3")))
-        report = validate(c, p, corr)
-        assert report.ok
-        assert report.duplicate_pairs == 0
-        assert report.dangling_labels == []
-        assert report.unmatched_conceptual == 0
-        assert report.unmatched_physical == 0
+        dn = DualNetwork(c, p, Correspondence((("w1", "v1"), ("w2", "v2"), ("w3", "v3"))))
+        assert dn.pair_conceptual == [0, 1, 2]
+        assert dn.pair_physical == [0, 1, 2]
+        assert dn.pair_of_conceptual == {0: 0, 1: 1, 2: 2}
+        assert dn.pair_of_physical == {0: 0, 1: 1, 2: 2}
 
     def test_duplicate_conceptual(self):
         c, p = small_pair()
-        corr = Correspondence((("w1", "v1"), ("w1", "v2")))
-        report = validate(c, p, corr)
-        assert report.duplicate_pairs == 1
-        assert not report.ok
+        with pytest.raises(ValueError) as info:
+            DualNetwork(c, p, Correspondence((("w1", "v1"), ("w1", "v2"))))
+        assert str(info.value) == "invalid dual network: 1 duplicate correspondence entries"
 
     def test_dangling_label(self):
         c, p = small_pair()
-        corr = Correspondence((("w1", "v1"), ("w2", "nope")))
-        report = validate(c, p, corr)
-        assert report.dangling_labels == ["nope"]
-        assert not report.ok
+        with pytest.raises(ValueError) as info:
+            DualNetwork(c, p, Correspondence((("w1", "v1"), ("w2", "nope"))))
+        assert str(info.value) == "invalid dual network: 1 dangling labels ('nope')"
 
     def test_unmatched_counts(self):
+        # Nodes outside the correspondence are allowed and left unpaired.
         c, p = small_pair()
-        corr = Correspondence((("w1", "v1"),))
-        report = validate(c, p, corr)
-        assert report.ok
-        assert report.unmatched_conceptual == 2
-        assert report.unmatched_physical == 2
+        dn = DualNetwork(c, p, Correspondence((("w1", "v1"),)))
+        assert dn.pair_count == 1
+        assert dn.pair_of_conceptual == {0: 0}
+        assert dn.pair_of_physical == {0: 0}
+
+    def test_every_problem_reported(self):
+        c = Graph(["w1", "w2"], [(0, 1, 0.5)])
+        heavy = Graph(["v1", "v2"], [(0, 1, 2.0)])
+        corr = Correspondence((("w1", "v1"), ("w1", "x"), ("y", "v1"), ("w2", "x")))
+        with pytest.raises(ValueError) as info:
+            DualNetwork(c, heavy, corr)
+        assert str(info.value) == (
+            "invalid dual network: 2 duplicate correspondence entries; "
+            "2 dangling labels ('x', 'y'); physical network must have unit edge weights")
+
+    def test_many_dangling_labels_summarised(self):
+        c, p = small_pair()
+        corr = Correspondence(tuple((f"c{i}", f"p{i}") for i in range(8000)))
+        with pytest.raises(ValueError) as info:
+            DualNetwork(c, p, corr)
+        assert str(info.value) == ("invalid dual network: 16000 dangling labels "
+                                   "('c0', 'p0', 'c1', 'p1', 'c2', ...)")
 
 
 class TestDualNetwork:

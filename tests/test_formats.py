@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import GapWeightRule, Graph, ParseError, build_alignment_graph, graphs_equal
-from dualdense.formats import (alignment_to_dot, alignment_to_graphml,
-                               alignment_to_json, canonical_json, export_graph,
-                               graph_from_json, graph_to_dot, graph_to_graphml,
-                               graph_to_json, parse_checkins,
+from dualdense import (Correspondence, DualNetwork, GapWeightRule, Graph, ParseError,
+                       build_alignment_graph, graphs_equal)
+from dualdense.formats import (canonical_json, export_dot, export_graph, export_graphml,
+                               export_json, graph_from_json, parse_checkins,
                                load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list)
 from helpers import random_dual_network, random_graph
@@ -141,11 +140,11 @@ class TestParseCheckins:
 class TestJsonRoundTrip:
     def test_empty_graph(self):
         g = Graph([], [])
-        assert graphs_equal(graph_from_json(graph_to_json(g)), g)
+        assert graphs_equal(graph_from_json(export_json(g)), g)
 
     def test_single_edge(self):
         g = Graph(["a", "b"], [(0, 1, 0.25)])
-        text = graph_to_json(g)
+        text = export_json(g)
         assert '"a"' in text and "0.25" in text
         assert graphs_equal(graph_from_json(text), g)
 
@@ -153,7 +152,7 @@ class TestJsonRoundTrip:
     @given(seed=st.integers(0, 10_000), n=st.integers(0, 50))
     def test_random_round_trip(self, seed, n):
         g = random_graph(random.Random(seed), n, 0.2)
-        assert graphs_equal(graph_from_json(graph_to_json(g)), g)
+        assert graphs_equal(graph_from_json(export_json(g)), g)
 
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -165,37 +164,42 @@ class TestJsonRoundTrip:
 class TestExports:
     def test_empty_documents_valid(self):
         g = Graph([], [])
-        assert graph_to_dot(g).startswith("graph G {")
-        assert "<graphml" in graph_to_graphml(g)
-        doc = graph_to_json(g)
-        assert '"nodes": []' in doc
+        assert export_json(g) == '{\n  "edges": [],\n  "nodes": []\n}\n'
+        assert export_dot(g) == "graph G {\n}\n"
+        assert export_graphml(g) == "".join(line + "\n" for line in [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+            '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
+            '  <graph edgedefault="undirected">',
+            '  </graph>',
+            '</graphml>'])
 
     def test_dot_contains_weight(self):
         g = Graph(["a", "b"], [(0, 1, 0.5)])
-        dot = graph_to_dot(g)
+        dot = export_dot(g)
         assert '"a" -- "b" [weight=0.5]' in dot
 
     def test_graphml_contains_weight(self):
         g = Graph(["a", "b"], [(0, 1, 0.5)])
-        xml = graph_to_graphml(g)
+        xml = export_graphml(g)
         assert '<data key="weight">0.5</data>' in xml
 
     def test_alignment_exports_carry_kind(self):
         dn = random_dual_network(random.Random(4), 8)
         ag = build_alignment_graph(dn, delta=3, gap_mode=GapWeightRule.PER_HOP)
         assert ag.graph.edge_count > 0
-        json_text = alignment_to_json(ag)
+        json_text = export_json(ag)
         assert '"kind"' in json_text
-        dot = alignment_to_dot(ag)
+        dot = export_dot(ag)
         assert 'kind="match"' in dot or 'kind="gap"' in dot
-        xml = alignment_to_graphml(ag)
+        xml = export_graphml(ag)
         assert '<data key="kind">' in xml
         assert f'"delta": {ag.delta}' in json_text
 
     def test_infinite_delta_serialized(self):
         dn = random_dual_network(random.Random(4), 6)
         ag = build_alignment_graph(dn, delta=math.inf)
-        assert '"delta": "inf"' in alignment_to_json(ag)
+        assert '"delta": "inf"' in export_json(ag)
 
     def test_canonical_json_stable(self):
         doc = {"b": [3, 2], "a": {"y": 1.5, "x": None}}
@@ -203,11 +207,206 @@ class TestExports:
 
     def test_export_dispatcher(self):
         g = Graph(["a", "b"], [(0, 1, 0.5)])
-        assert export_graph(g, "dot") == graph_to_dot(g)
-        assert export_graph(g, "json") == graph_to_json(g)
-        assert export_graph(g, "graphml") == graph_to_graphml(g)
+        assert export_graph(g, "dot") == export_dot(g)
+        assert export_graph(g, "json") == export_json(g)
+        assert export_graph(g, "graphml") == export_graphml(g)
         with pytest.raises(ValueError, match="unknown export format"):
             export_graph(g, "yaml")
         dn = random_dual_network(random.Random(1), 6)
         ag = build_alignment_graph(dn, delta=2)
-        assert export_graph(ag, "json") == alignment_to_json(ag)
+        assert export_graph(ag, "json") == export_json(ag)
+        assert export_graph(ag, "dot") == export_dot(ag)
+        assert export_graph(ag, "graphml") == export_graphml(ag)
+
+
+# Exact export bytes.  Every label needs escaping in at least one format, and
+# the alignment graph has match edges and one gap edge (distance 3).
+LABELS = ['q"t', 'b\\s', 'p|i', 'l<t', 'a&p']
+
+
+def golden_graph() -> Graph:
+    return Graph(LABELS, [(0, 1, 0.5), (1, 2, 1.25), (0, 3, 2.0), (3, 4, 0.1)])
+
+
+def golden_alignment():
+    physical = Graph(LABELS, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    dn = DualNetwork(golden_graph(), physical, Correspondence(tuple((x, x) for x in LABELS)))
+    return build_alignment_graph(dn, 3, GapWeightRule.PER_HOP)
+
+
+PLAIN_JSON = r"""{
+  "edges": [
+    [
+      "a&p",
+      "l<t",
+      0.1
+    ],
+    [
+      "b\\s",
+      "p|i",
+      1.25
+    ],
+    [
+      "b\\s",
+      "q\"t",
+      0.5
+    ],
+    [
+      "l<t",
+      "q\"t",
+      2.0
+    ]
+  ],
+  "nodes": [
+    "a&p",
+    "b\\s",
+    "l<t",
+    "p|i",
+    "q\"t"
+  ]
+}
+"""
+
+PLAIN_DOT = r"""graph G {
+  "q\"t" [color=red, style=bold];
+  "b\\s" [color=red, style=bold];
+  "p|i";
+  "l<t";
+  "a&p" [color=red, style=bold];
+  "q\"t" -- "b\\s" [weight=0.5, color=red, style=bold];
+  "q\"t" -- "l<t" [weight=2.0];
+  "b\\s" -- "p|i" [weight=1.25];
+  "l<t" -- "a&p" [weight=0.1];
+}
+"""
+
+PLAIN_GRAPHML = r"""<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>
+  <graph edgedefault="undirected">
+    <node id='q"t'/>
+    <node id="b\s"/>
+    <node id="p|i"/>
+    <node id="l&lt;t"/>
+    <node id="a&amp;p"/>
+    <edge source='q"t' target="b\s">
+      <data key="weight">0.5</data>
+    </edge>
+    <edge source='q"t' target="l&lt;t">
+      <data key="weight">2.0</data>
+    </edge>
+    <edge source="b\s" target="p|i">
+      <data key="weight">1.25</data>
+    </edge>
+    <edge source="l&lt;t" target="a&amp;p">
+      <data key="weight">0.1</data>
+    </edge>
+  </graph>
+</graphml>
+"""
+
+ALIGN_JSON = r"""{
+  "delta": 3,
+  "edges": [
+    {
+      "distance": 1,
+      "kind": "match",
+      "source": "a&p|a&p",
+      "target": "l<t|l<t",
+      "weight": 0.1
+    },
+    {
+      "distance": 1,
+      "kind": "match",
+      "source": "b\\\\s|b\\\\s",
+      "target": "p\\|i|p\\|i",
+      "weight": 1.25
+    },
+    {
+      "distance": 1,
+      "kind": "match",
+      "source": "b\\\\s|b\\\\s",
+      "target": "q\"t|q\"t",
+      "weight": 0.5
+    },
+    {
+      "distance": 3,
+      "kind": "gap",
+      "source": "l<t|l<t",
+      "target": "q\"t|q\"t",
+      "weight": 0.6666666666666666
+    }
+  ],
+  "gap_mode": "per-hop",
+  "nodes": [
+    "a&p|a&p",
+    "b\\\\s|b\\\\s",
+    "l<t|l<t",
+    "p\\|i|p\\|i",
+    "q\"t|q\"t"
+  ]
+}
+"""
+
+ALIGN_DOT = r"""graph alignment {
+  "q\"t|q\"t";
+  "b\\\\s|b\\\\s";
+  "p\\|i|p\\|i";
+  "l<t|l<t";
+  "a&p|a&p";
+  "q\"t|q\"t" -- "b\\\\s|b\\\\s" [weight=0.5, kind="match", distance=1];
+  "q\"t|q\"t" -- "l<t|l<t" [weight=0.6666666666666666, kind="gap", distance=3];
+  "b\\\\s|b\\\\s" -- "p\\|i|p\\|i" [weight=1.25, kind="match", distance=1];
+  "l<t|l<t" -- "a&p|a&p" [weight=0.1, kind="match", distance=1];
+}
+"""
+
+ALIGN_GRAPHML = r"""<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>
+  <key id="kind" for="edge" attr.name="kind" attr.type="string"/>
+  <key id="distance" for="edge" attr.name="distance" attr.type="int"/>
+  <graph edgedefault="undirected">
+    <node id='q"t|q"t'/>
+    <node id="b\\s|b\\s"/>
+    <node id="p\|i|p\|i"/>
+    <node id="l&lt;t|l&lt;t"/>
+    <node id="a&amp;p|a&amp;p"/>
+    <edge source='q"t|q"t' target="b\\s|b\\s">
+      <data key="weight">0.5</data>
+      <data key="kind">match</data>
+      <data key="distance">1</data>
+    </edge>
+    <edge source='q"t|q"t' target="l&lt;t|l&lt;t">
+      <data key="weight">0.6666666666666666</data>
+      <data key="kind">gap</data>
+      <data key="distance">3</data>
+    </edge>
+    <edge source="b\\s|b\\s" target="p\|i|p\|i">
+      <data key="weight">1.25</data>
+      <data key="kind">match</data>
+      <data key="distance">1</data>
+    </edge>
+    <edge source="l&lt;t|l&lt;t" target="a&amp;p|a&amp;p">
+      <data key="weight">0.1</data>
+      <data key="kind">match</data>
+      <data key="distance">1</data>
+    </edge>
+  </graph>
+</graphml>
+"""
+
+
+class TestGoldenExports:
+    def test_plain_graph(self):
+        g = golden_graph()
+        assert export_json(g) == PLAIN_JSON
+        assert export_dot(g, highlight={'q"t', 'b\\s', 'a&p'}) == PLAIN_DOT
+        assert export_graphml(g) == PLAIN_GRAPHML
+        assert graphs_equal(graph_from_json(PLAIN_JSON), g)
+
+    def test_alignment_graph(self):
+        ag = golden_alignment()
+        assert export_json(ag) == ALIGN_JSON
+        assert export_dot(ag) == ALIGN_DOT
+        assert export_graphml(ag) == ALIGN_GRAPHML

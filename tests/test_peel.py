@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, exact_densest, peel
-from helpers import brute_densest, random_graph, subset_density
+from helpers import brute_densest, check_peel_order, random_graph, subset_density
 
 
 def clique_plus_pendant():
@@ -135,11 +135,15 @@ def test_deterministic(seed, n):
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 14))
 def test_trace_consistent_with_recomputation(seed, n):
     g = random_graph(random.Random(seed), n, 0.4)
-    result, trace = peel(g, audit=True)
+    result, trace = peel(g)
+    check_peel_order(g, trace.removal_order)
     for i, d in enumerate(trace.density_at_prefix):
         suffix = trace.removal_order[i:]
         assert d == pytest.approx(subset_density(g, suffix), rel=1e-9, abs=1e-12)
     assert result.density == pytest.approx(trace.best_density, rel=1e-9, abs=1e-12)
+    # Unit weights sum exactly, so ties must go to the lowest index.
+    unit = random_graph(random.Random(seed), n, 0.4, weighted=False)
+    check_peel_order(unit, peel(unit)[1].removal_order, rel_tol=0.0)
 
 
 @settings(max_examples=20, deadline=None)
