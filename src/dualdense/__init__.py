@@ -8,11 +8,10 @@ connectivity of the selection.
 """
 
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_weight
-from .dualnet import Correspondence, DualNetwork, induced
+from .dualnet import DualNetwork
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError)
-from .graph import (Graph, connected_components, density, graphs_equal,
-                    is_connected, shortest_path_hops, vol)
+from .graph import Graph, connected_components, density, is_connected
 from .oracle import OracleResult, brute_force_dcs
 from .peel import DensestResult, PeelTrace, exact_densest, peel
 from .pipeline import (Connectivity, DcsOptions, DcsResult, extract_dcs,
@@ -24,11 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentGraph", "GapWeightRule", "build_alignment_graph", "gap_weight",
-    "Correspondence", "DualNetwork", "induced",
+    "DualNetwork",
     "ConfigError", "DualDenseError", "IrreparableDisconnection",
     "NoFeasibleSubgraph", "ParseError",
-    "Graph", "connected_components", "density", "graphs_equal", "is_connected",
-    "shortest_path_hops", "vol",
+    "Graph", "connected_components", "density", "is_connected",
     "OracleResult", "brute_force_dcs",
     "DensestResult", "PeelTrace", "exact_densest", "peel",
     "Connectivity", "DcsOptions", "DcsResult", "extract_dcs",

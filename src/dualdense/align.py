@@ -104,41 +104,33 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     if not isinstance(gap_mode, GapWeightRule):
         raise ConfigError(f"unknown gap weight rule: {gap_mode!r}")
 
-    labels = [composite_label(c, p) for c, p in dn.correspondence.pairs]
-
-    # Candidate scan: conceptual edges between covered nodes.
-    candidates: list[tuple[int, int, float, int, int]] = []
+    labels = [composite_label(c, p) for c, p in dn.pairs]
+    physical, pair_physical = dn.physical, dn.pair_physical
+    edges: list[tuple[int, int, float]] = []
+    kinds: dict[tuple[int, int], tuple[str, int]] = {}
+    # Candidate scan: conceptual edges between covered nodes.  Physically
+    # adjacent ones are match edges; the rest wait for a distance query,
+    # grouped by their lower physical endpoint (pairs are one-to-one, so
+    # each physical node pair belongs to at most one candidate).
+    queries: dict[int, dict[int, tuple[int, int, float]]] = {}
     for ci, cj, w in dn.conceptual.edges():
         ki = dn.pair_of_conceptual.get(ci)
         kj = dn.pair_of_conceptual.get(cj)
         if ki is None or kj is None:
             continue
-        candidates.append((ki, kj, w, dn.pair_physical[ki], dn.pair_physical[kj]))
-
-    # Distance queries for the non-adjacent candidates, grouped per source.
-    queries: dict[int, set[int]] = {}
-    physical = dn.physical
-    if delta >= 2:
-        for ki, kj, w, pi, pj in candidates:
-            if not physical.has_edge(pi, pj):
-                src, dst = (pi, pj) if pi < pj else (pj, pi)
-                queries.setdefault(src, set()).add(dst)
-
-    resolved = {s: dict(bfs(physical, (s,), delta, targets=dsts)[1])
-                for s, dsts in queries.items()}
-
-    edges: list[tuple[int, int, float]] = []
-    kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    for ki, kj, w, pi, pj in candidates:
-        key = (ki, kj) if ki < kj else (kj, ki)
+        pi, pj = pair_physical[ki], pair_physical[kj]
         if physical.has_edge(pi, pj):
             edges.append((ki, kj, w))
-            kinds[key] = (MATCH, 1)
+            kinds[(ki, kj) if ki < kj else (kj, ki)] = (MATCH, 1)
         elif delta >= 2:
             src, dst = (pi, pj) if pi < pj else (pj, pi)
-            d = resolved.get(src, {}).get(dst)
-            if d is not None and d <= delta:
-                edges.append((ki, kj, gap_weight(gap_mode, w, d)))
-                kinds[key] = (GAP, d)
+            queries.setdefault(src, {})[dst] = (ki, kj, w)
+
+    # Targets are never physical neighbours, so every hit is a gap.
+    for src, pending in queries.items():
+        for dst, d in bfs(physical, (src,), delta, targets=pending)[1]:
+            ki, kj, w = pending[dst]
+            edges.append((ki, kj, gap_weight(gap_mode, w, d)))
+            kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
 
     return AlignmentGraph(Graph(labels, edges), kinds, delta, gap_mode)

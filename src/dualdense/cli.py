@@ -50,9 +50,9 @@ def _emit(text: str, output: str | None) -> None:
 def _load_dual(args) -> DualNetwork:
     conceptual = formats.load_graph(args.conceptual, weighted=True)
     physical = formats.load_graph(args.physical, weighted=False)
-    corr = formats.load_correspondence(args.correspondence)
+    pairs = formats.load_correspondence(args.correspondence)
     try:
-        return DualNetwork(conceptual, physical, corr)
+        return DualNetwork(conceptual, physical, pairs)
     except ValueError as exc:
         raise ParseError(str(exc), None, args.correspondence) from None
 
@@ -135,7 +135,7 @@ def cmd_gen(args) -> int:
     # Edge lists cannot name isolated nodes, so a pair is written only when
     # both of its nodes appear in the written edge lists.
     with open(os.path.join(args.out_dir, "correspondence.tsv"), "w", encoding="utf-8") as fh:
-        for k, (c, p) in enumerate(dn.correspondence.pairs):
+        for k, (c, p) in enumerate(dn.pairs):
             if (dn.conceptual.degree(dn.pair_conceptual[k])
                     and dn.physical.degree(dn.pair_physical[k])):
                 fh.write(f"{c}\t{p}\n")

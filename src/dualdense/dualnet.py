@@ -3,42 +3,33 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One-to-one pairing of conceptual labels with physical labels."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 class DualNetwork:
     """A validated dual network.
 
-    Pair k of the correspondence becomes the shared node identity: helper
-    tables map pair ids to node indices in either graph.  Nodes of either
-    graph that appear in no pair stay in their graphs but are excluded from
-    alignment and from any extracted subgraph.
+    ``pairs`` is the correspondence: one ``(conceptual_label,
+    physical_label)`` pair per shared node.  Pair k becomes the shared node
+    identity: helper tables map pair ids to node indices in either graph.
+    Nodes of either graph that appear in no pair stay in their graphs but
+    are excluded from alignment and from any extracted subgraph.
     """
 
-    __slots__ = ("conceptual", "physical", "correspondence",
-                 "pair_conceptual", "pair_physical",
-                 "pair_of_conceptual", "pair_of_physical", "_pair_graph")
+    __slots__ = ("conceptual", "physical", "pairs", "pair_conceptual",
+                 "pair_physical", "pair_of_conceptual", "_pair_graph")
 
-    def __init__(self, conceptual: Graph, physical: Graph, correspondence: Correspondence):
+    def __init__(self, conceptual: Graph, physical: Graph,
+                 pairs: Iterable[tuple[str, str]]):
+        pairs = tuple(pairs)
         c_index, p_index = conceptual._index, physical._index
         pair_conceptual: list = []
         pair_physical: list = []
         dangling: dict[str, None] = {}  # insertion-ordered set
-        for c, p in correspondence.pairs:
+        for c, p in pairs:
             i, j = c_index.get(c), p_index.get(p)
             if i is None:
                 dangling[c] = None
@@ -46,14 +37,12 @@ class DualNetwork:
                 dangling[p] = None
             pair_conceptual.append(i)
             pair_physical.append(j)
-        pair_of_conceptual = {i: k for k, i in enumerate(pair_conceptual) if i is not None}
-        pair_of_physical = {j: k for k, j in enumerate(pair_physical) if j is not None}
 
         problems = []
         # A repeated label maps to a node already in the table, so each
-        # repeat leaves the table one entry short of the covered pairs.
-        duplicates = (len(pair_conceptual) - pair_conceptual.count(None) - len(pair_of_conceptual)
-                      + len(pair_physical) - pair_physical.count(None) - len(pair_of_physical))
+        # repeat adds no new distinct node.
+        duplicates = sum(len(t) - t.count(None) - len(set(t) - {None})
+                         for t in (pair_conceptual, pair_physical))
         if duplicates:
             problems.append(f"{duplicates} duplicate correspondence entries")
         if dangling:
@@ -61,7 +50,7 @@ class DualNetwork:
             if len(dangling) > len(shown):
                 shown.append("...")
             problems.append(f"{len(dangling)} dangling labels ({', '.join(shown)})")
-        if len(correspondence) < 1:
+        if not pairs:
             problems.append("correspondence is empty")
         if not physical.is_unit_weighted():
             problems.append("physical network must have unit edge weights")
@@ -70,22 +59,18 @@ class DualNetwork:
 
         self.conceptual = conceptual
         self.physical = physical
-        self.correspondence = correspondence
+        self.pairs = pairs
         self.pair_conceptual = pair_conceptual
         self.pair_physical = pair_physical
-        self.pair_of_conceptual = pair_of_conceptual
-        self.pair_of_physical = pair_of_physical
+        self.pair_of_conceptual = {i: k for k, i in enumerate(pair_conceptual)}
         self._pair_graph: Graph | None = None
 
     @property
     def pair_count(self) -> int:
-        return len(self.pair_conceptual)
+        return len(self.pairs)
 
     def pair_labels(self, k: int) -> tuple[str, str]:
-        return self.correspondence.pairs[k]
-
-    def pair_by_conceptual_label(self, label: str) -> int:
-        return self.pair_of_conceptual[self.conceptual.index_of(label)]
+        return self.pairs[k]
 
     def conceptual_nodes(self, members: Iterable[int]) -> set[int]:
         return {self.pair_conceptual[k] for k in self._check(members)}
@@ -99,7 +84,7 @@ class DualNetwork:
         and labelled with the physical labels.  Built on first use (only
         repair and the oracle need it) and cached."""
         if self._pair_graph is None:
-            pair_of = self.pair_of_physical
+            pair_of = {p: k for k, p in enumerate(self.pair_physical)}
             edges = []
             for k, p in enumerate(self.pair_physical):
                 for q in self.physical.neighbors(p):
@@ -116,11 +101,3 @@ class DualNetwork:
             if not (isinstance(k, int) and 0 <= k < self.pair_count):
                 raise ValueError(f"{k!r} is not a correspondence pair id")
         return S
-
-
-def induced(dn: DualNetwork, members: Iterable[int]) -> tuple[Graph, Graph]:
-    """Induced conceptual and physical subgraphs over the given pair ids."""
-    S = dn._check(members)
-    conceptual = dn.conceptual.subgraph(dn.pair_conceptual[k] for k in S)
-    physical = dn.physical.subgraph(dn.pair_physical[k] for k in S)
-    return conceptual, physical

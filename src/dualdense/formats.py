@@ -20,7 +20,6 @@ from typing import IO, Iterable, Iterator, Union
 from xml.sax.saxutils import escape, quoteattr
 
 from .align import AlignmentGraph
-from .dualnet import Correspondence
 from .errors import ParseError
 from .graph import Graph
 
@@ -72,9 +71,11 @@ def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None)
     return Graph.from_label_edges(triples())
 
 
-def parse_correspondence(source: LineSource, name: str | None = None) -> Correspondence:
-    """Parse ``conceptual physical`` pairs, one per line; duplicates on
-    either side are rejected (the mapping must be one-to-one)."""
+def parse_correspondence(source: LineSource,
+                         name: str | None = None) -> tuple[tuple[str, str], ...]:
+    """Parse ``conceptual physical`` pairs, one per line, into the pair
+    tuple ``DualNetwork`` takes; duplicates on either side are rejected
+    (the mapping must be one-to-one)."""
     pairs: list[tuple[str, str]] = []
     seen_c: set[str] = set()
     seen_p: set[str] = set()
@@ -94,34 +95,40 @@ def parse_correspondence(source: LineSource, name: str | None = None) -> Corresp
         seen_c.add(c)
         seen_p.add(p)
         pairs.append((c, p))
-    return Correspondence(tuple(pairs))
+    return tuple(pairs)
 
 
 def parse_checkins(source: LineSource, name: str | None = None) -> list[CheckinRecord]:
     """Parse ``user,lat,lon`` CSV records.
 
     The first row is treated as a header exactly when its coordinate fields
-    do not parse as numbers; coordinate errors on any later row are
-    reported with their line number.
+    do not parse as numbers.  Errors on any later row cite the file line
+    the row ends on (a quoted field may span lines).
     """
     records: list[CheckinRecord] = []
-    for line_no, row in enumerate(csv.reader(source), 1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 'user,lat,lon', got {len(row)} fields", line_no, name)
-        user, lat_s, lon_s = (f.strip() for f in row)
-        try:
-            lat, lon = float(lat_s), float(lon_s)
-        except ValueError:
-            if line_no == 1:
-                continue  # header row
-            raise ParseError(f"invalid coordinates {lat_s!r},{lon_s!r}", line_no, name) from None
-        if not -90.0 <= lat <= 90.0:
-            raise ParseError(f"latitude {lat} outside [-90, 90]", line_no, name)
-        if not -180.0 <= lon <= 180.0:
-            raise ParseError(f"longitude {lon} outside [-180, 180]", line_no, name)
-        records.append(CheckinRecord(user, lat, lon))
+    reader = csv.reader(source)
+    try:
+        for record_no, row in enumerate(reader):
+            line_no = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 'user,lat,lon', got {len(row)} fields", line_no, name)
+            user, lat_s, lon_s = (f.strip() for f in row)
+            try:
+                lat, lon = float(lat_s), float(lon_s)
+            except ValueError:
+                if record_no == 0:
+                    continue  # header row
+                raise ParseError(f"invalid coordinates {lat_s!r},{lon_s!r}",
+                                 line_no, name) from None
+            if not -90.0 <= lat <= 90.0:
+                raise ParseError(f"latitude {lat} outside [-90, 90]", line_no, name)
+            if not -180.0 <= lon <= 180.0:
+                raise ParseError(f"longitude {lon} outside [-180, 180]", line_no, name)
+            records.append(CheckinRecord(user, lat, lon))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", reader.line_num, name) from None
     return records
 
 
@@ -138,7 +145,7 @@ def load_graph(path: str, weighted: bool) -> Graph:
     return _load(path, parse_edge_list, weighted)
 
 
-def load_correspondence(path: str) -> Correspondence:
+def load_correspondence(path: str) -> tuple[tuple[str, str], ...]:
     return _load(path, parse_correspondence)
 
 

@@ -165,14 +165,6 @@ def _check_members(g: Graph, members: Iterable[int]) -> set[int]:
     return S
 
 
-def vol(g: Graph, members: Iterable[int], v: int) -> float:
-    """Sum of weights of edges from v to neighbors inside the member set."""
-    S = _check_members(g, members)
-    if v not in S:
-        raise ValueError(f"node {v} is not a member of the given set")
-    return math.fsum(w for u, w in g.incident(v) if u in S)
-
-
 def density(g: Graph, members: Iterable[int]) -> float:
     """Average per-node induced volume: twice the induced edge weight over
     the node count.  Singletons and edgeless sets have density 0."""
@@ -242,21 +234,6 @@ def path_to(parent: dict[int, int], v: int) -> list[int]:
     return path
 
 
-def shortest_path_hops(g: Graph, u: int, v: int,
-                       cap: float = math.inf) -> Optional[tuple[int, list[int]]]:
-    """Hop distance and one shortest path from u to v, ignoring weights.
-
-    Returns None when v is farther than ``cap`` hops (or unreachable).
-    Sorted adjacency makes the returned path deterministic: ties are broken
-    by the lowest neighbor index at each expansion.
-    """
-    _check_members(g, (u, v))
-    parent, hits = bfs(g, (u,), cap, targets={v})
-    if not hits:
-        return None
-    return hits[0][1], path_to(parent, v)
-
-
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:
     """Partition of the member set into maximal mutually reachable blocks
     within the induced subgraph, ordered by smallest contained index."""
@@ -276,15 +253,3 @@ def is_connected(g: Graph, members: Iterable[int]) -> bool:
     """True for empty sets, singletons, and internally connected sets."""
     return len(connected_components(g, members)) <= 1
 
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    """Label-level equality: same label set, same weighted edges."""
-    if set(a.labels) != set(b.labels):
-        return False
-    def edge_map(g: Graph) -> dict[tuple[str, str], float]:
-        out = {}
-        for la, lb, w in g.label_edges():
-            key = (la, lb) if la < lb else (lb, la)
-            out[key] = w
-        return out
-    return edge_map(a) == edge_map(b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dualnet import Correspondence, DualNetwork
+from .dualnet import DualNetwork
 from .errors import ConfigError
 from .graph import Graph
 
@@ -60,17 +60,16 @@ def _sample_pairs(rng: random.Random, n: int, count: int,
 def generate_planted(n: int, k: int, seed: int,
                      background_weight_cap: float = 0.1,
                      background_edge_prob: float = 0.15,
-                     physical_edge_prob: float | None = None,
-                     planted_extra_edge_prob: float = 0.5) -> PlantedInstance:
+                     physical_edge_prob: float | None = None) -> PlantedInstance:
     """Seeded planted-community dual network.
 
     Planted k-set: conceptual clique at weight 1.0, physical spanning tree
-    plus extra edges.  Background: a global physical spanning tree (the
-    physical graph stays connected) plus random physical pairs, and random
-    conceptual pairs weighted uniformly in (0, cap].  Edge probabilities are
-    realized as pair counts (round(p * C(n, 2))), which is what makes
-    100k-node instances feasible; ``physical_edge_prob`` defaults to
-    ``background_edge_prob``.
+    plus each other planted pair with probability 1/2.  Background: a global
+    physical spanning tree (the physical graph stays connected) plus random
+    physical pairs, and random conceptual pairs weighted uniformly in
+    (0, cap].  Edge probabilities lie in [0, 1] and are realized as pair
+    counts (round(p * C(n, 2))), which is what makes 100k-node instances
+    feasible; ``physical_edge_prob`` defaults to ``background_edge_prob``.
     """
     if not 2 <= k <= n:
         raise ConfigError(f"planted size must satisfy 2 <= k <= n, got k={k}, n={n}")
@@ -78,6 +77,9 @@ def generate_planted(n: int, k: int, seed: int,
         raise ConfigError(f"background weight cap must lie in (0, 1), got {background_weight_cap}")
     if physical_edge_prob is None:
         physical_edge_prob = background_edge_prob
+    for what, p in (("background", background_edge_prob), ("physical", physical_edge_prob)):
+        if not 0.0 <= p <= 1.0:  # also false for NaN
+            raise ConfigError(f"{what} edge probability must lie in [0, 1], got {p}")
 
     rng = random.Random(seed)
     labels = [f"n{i}" for i in range(n)]
@@ -90,7 +92,7 @@ def generate_planted(n: int, k: int, seed: int,
     for i in range(k):
         for j in range(i + 1, k):
             key = (planted[i], planted[j])
-            if key not in phys_pairs and rng.random() < planted_extra_edge_prob:
+            if key not in phys_pairs and rng.random() < 0.5:
                 phys_pairs.add(key)
     phys_pairs |= _random_tree_edges(rng, list(range(n)))
     _sample_pairs(rng, n, round(physical_edge_prob * max_pairs), phys_pairs)
@@ -106,6 +108,5 @@ def generate_planted(n: int, k: int, seed: int,
 
     conceptual = Graph(labels, conc_edges)
     physical = Graph(labels, [(a, b, 1.0) for a, b in sorted(phys_pairs)])
-    corr = Correspondence(tuple((lab, lab) for lab in labels))
-    dual = DualNetwork(conceptual, physical, corr)
+    dual = DualNetwork(conceptual, physical, ((lab, lab) for lab in labels))
     return PlantedInstance(dual, frozenset(planted), seed)

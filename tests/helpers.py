@@ -9,7 +9,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dualdense import Correspondence, DualNetwork, Graph
+from dualdense import DualNetwork, Graph
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = True) -> Graph:
@@ -49,8 +49,7 @@ def random_dual_network(rng: random.Random, n: int, p_phys: float = 0.3,
                 conc[(u, v)] = 1.0 - rng.random()
     physical = Graph(labels, [(u, v, 1.0) for u, v in sorted(phys_pairs)])
     conceptual = Graph(labels, [(u, v, w) for (u, v), w in sorted(conc.items())])
-    corr = Correspondence(tuple((lab, lab) for lab in labels))
-    return DualNetwork(conceptual, physical, corr)
+    return DualNetwork(conceptual, physical, tuple((lab, lab) for lab in labels))
 
 
 def subset_density(g: Graph, members) -> float:
@@ -145,3 +144,10 @@ def bfs_hops(g: Graph, src: int, dst: int) -> int | None:
                     return dist[y]
                 queue.append(y)
     return None
+
+
+def graphs_equal(a: Graph, b: Graph) -> bool:
+    """Label-level equality: same label set, same weighted edges."""
+    def edge_map(g: Graph) -> dict[tuple[str, str], float]:
+        return {(la, lb) if la < lb else (lb, la): w for la, lb, w in g.label_edges()}
+    return set(a.labels) == set(b.labels) and edge_map(a) == edge_map(b)

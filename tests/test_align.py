@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (ConfigError, Correspondence, DualNetwork, GapWeightRule,
-                       Graph, build_alignment_graph, gap_weight)
+from dualdense import (ConfigError, DualNetwork, GapWeightRule, Graph,
+                       build_alignment_graph, gap_weight)
 from dualdense.align import GAP, MATCH, composite_label
 from helpers import bfs_hops, random_dual_network
 
@@ -17,7 +17,7 @@ def dual_from(conc_edges, phys_edges, n):
     plabels = [f"v{i}" for i in range(n)]
     conceptual = Graph(clabels, conc_edges)
     physical = Graph(plabels, [(u, v, 1.0) for u, v in phys_edges])
-    corr = Correspondence(tuple(zip(clabels, plabels)))
+    corr = tuple(zip(clabels, plabels))
     return DualNetwork(conceptual, physical, corr)
 
 
@@ -97,7 +97,7 @@ class TestBuildAlignmentGraph:
         plabels = ["v0", "v1", "v2"]
         conceptual = Graph(clabels, [(0, 1, 0.5), (1, 2, 0.9)])
         physical = Graph(plabels, [(0, 1, 1.0), (1, 2, 1.0)])
-        corr = Correspondence((("w0", "v0"), ("w1", "v1")))  # w2/v2 uncovered
+        corr = (("w0", "v0"), ("w1", "v1"))  # w2/v2 uncovered
         dn = DualNetwork(conceptual, physical, corr)
         ag = build_alignment_graph(dn, delta=2)
         assert ag.graph.n == 2

@@ -234,6 +234,15 @@ class TestGenAndStats:
         doc = json.loads(capsys.readouterr().out)
         assert [pair[0] for pair in doc["nodes"]] == meta["planted"]
 
+    @pytest.mark.parametrize("prob", ["nan", "inf", "-0.5", "1.5"])
+    def test_gen_rejects_bad_edge_probability(self, tmp_path, capsys, prob):
+        out_dir = tmp_path / "inst"
+        assert main(["gen", "--nodes", "20", "--planted-size", "4",
+                     "--background-edge-prob", prob, "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: background edge probability must lie in [0, 1], got {float(prob)}\n")
+        assert not out_dir.exists()
+
     def test_stats_reports_both_densities(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
         graph.write_text("a b 1.0\nb c 1.0\na c 1.0\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Correspondence, DualNetwork, Graph, density, induced
+from dualdense import DualNetwork, Graph, density
 from helpers import random_dual_network
 
 
@@ -19,36 +19,36 @@ class TestValidate:
 
     def test_clean(self):
         c, p = small_pair()
-        dn = DualNetwork(c, p, Correspondence((("w1", "v1"), ("w2", "v2"), ("w3", "v3"))))
+        dn = DualNetwork(c, p, (("w1", "v1"), ("w2", "v2"), ("w3", "v3")))
         assert dn.pair_conceptual == [0, 1, 2]
         assert dn.pair_physical == [0, 1, 2]
         assert dn.pair_of_conceptual == {0: 0, 1: 1, 2: 2}
-        assert dn.pair_of_physical == {0: 0, 1: 1, 2: 2}
+        assert dn.pairs == (("w1", "v1"), ("w2", "v2"), ("w3", "v3"))
 
     def test_duplicate_conceptual(self):
         c, p = small_pair()
         with pytest.raises(ValueError) as info:
-            DualNetwork(c, p, Correspondence((("w1", "v1"), ("w1", "v2"))))
+            DualNetwork(c, p, (("w1", "v1"), ("w1", "v2")))
         assert str(info.value) == "invalid dual network: 1 duplicate correspondence entries"
 
     def test_dangling_label(self):
         c, p = small_pair()
         with pytest.raises(ValueError) as info:
-            DualNetwork(c, p, Correspondence((("w1", "v1"), ("w2", "nope"))))
+            DualNetwork(c, p, (("w1", "v1"), ("w2", "nope")))
         assert str(info.value) == "invalid dual network: 1 dangling labels ('nope')"
 
     def test_unmatched_counts(self):
         # Nodes outside the correspondence are allowed and left unpaired.
         c, p = small_pair()
-        dn = DualNetwork(c, p, Correspondence((("w1", "v1"),)))
+        dn = DualNetwork(c, p, (("w1", "v1"),))
         assert dn.pair_count == 1
         assert dn.pair_of_conceptual == {0: 0}
-        assert dn.pair_of_physical == {0: 0}
+        assert dn.pair_graph.labels == ("v1",)
 
     def test_every_problem_reported(self):
         c = Graph(["w1", "w2"], [(0, 1, 0.5)])
         heavy = Graph(["v1", "v2"], [(0, 1, 2.0)])
-        corr = Correspondence((("w1", "v1"), ("w1", "x"), ("y", "v1"), ("w2", "x")))
+        corr = (("w1", "v1"), ("w1", "x"), ("y", "v1"), ("w2", "x"))
         with pytest.raises(ValueError) as info:
             DualNetwork(c, heavy, corr)
         assert str(info.value) == (
@@ -57,7 +57,7 @@ class TestValidate:
 
     def test_many_dangling_labels_summarised(self):
         c, p = small_pair()
-        corr = Correspondence(tuple((f"c{i}", f"p{i}") for i in range(8000)))
+        corr = tuple((f"c{i}", f"p{i}") for i in range(8000))
         with pytest.raises(ValueError) as info:
             DualNetwork(c, p, corr)
         assert str(info.value) == ("invalid dual network: 16000 dangling labels "
@@ -68,28 +68,36 @@ class TestDualNetwork:
     def test_construction_requires_valid(self):
         c, p = small_pair()
         with pytest.raises(ValueError, match="duplicate"):
-            DualNetwork(c, p, Correspondence((("w1", "v1"), ("w1", "v2"))))
+            DualNetwork(c, p, (("w1", "v1"), ("w1", "v2")))
         with pytest.raises(ValueError, match="empty"):
-            DualNetwork(c, p, Correspondence(()))
+            DualNetwork(c, p, ())
 
     def test_physical_must_be_unit(self):
         c, _ = small_pair()
         heavy = Graph(["v1", "v2", "v3"], [(0, 1, 2.0)])
         with pytest.raises(ValueError, match="unit"):
-            DualNetwork(c, heavy, Correspondence((("w1", "v1"),)))
+            DualNetwork(c, heavy, (("w1", "v1"),))
 
     def test_pair_tables(self):
         c, p = small_pair()
-        dn = DualNetwork(c, p, Correspondence((("w2", "v1"), ("w1", "v3"))))
+        dn = DualNetwork(c, p, (("w2", "v1"), ("w1", "v3")))
         assert dn.pair_count == 2
         assert dn.pair_labels(0) == ("w2", "v1")
-        assert dn.pair_by_conceptual_label("w1") == 1
+        assert dn.pair_of_conceptual[c.index_of("w1")] == 1
+        assert dn.pair_graph.labels == ("v1", "v3")
+
+
+def induced(dn, members):
+    """Conceptual and physical subgraphs induced by pair ids, read off the
+    pair tables."""
+    return (dn.conceptual.subgraph(dn.conceptual_nodes(members)),
+            dn.physical.subgraph(dn.physical_nodes(members)))
 
 
 class TestInduced:
     def make(self):
         c, p = small_pair()
-        corr = Correspondence((("w1", "v1"), ("w2", "v2"), ("w3", "v3")))
+        corr = (("w1", "v1"), ("w2", "v2"), ("w3", "v3"))
         return DualNetwork(c, p, corr)
 
     def test_identity(self):
@@ -113,8 +121,11 @@ class TestInduced:
 
     def test_unknown_pair_id_rejected(self):
         dn = self.make()
-        with pytest.raises(ValueError):
-            induced(dn, {0, 9})
+        for members in ({0, 9}, {-1}, {"0"}):
+            with pytest.raises(ValueError, match="is not a correspondence pair id"):
+                dn.conceptual_nodes(members)
+            with pytest.raises(ValueError, match="is not a correspondence pair id"):
+                dn.physical_nodes(members)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,7 +145,7 @@ def test_induced_density_matches_in_place(seed, n):
 def test_fuzzed_violations_rejected(seed, kind):
     rng = random.Random(seed)
     dn = random_dual_network(rng, rng.randint(2, 8))
-    pairs = list(dn.correspondence.pairs)
+    pairs = list(dn.pairs)
     if kind == "dup_c":
         pairs.append((pairs[0][0], pairs[-1][1] + "x"))
     elif kind == "dup_p":
@@ -142,4 +153,4 @@ def test_fuzzed_violations_rejected(seed, kind):
     else:
         pairs.append(("ghost_c", "ghost_p"))
     with pytest.raises(ValueError):
-        DualNetwork(dn.conceptual, dn.physical, Correspondence(tuple(pairs)))
+        DualNetwork(dn.conceptual, dn.physical, pairs)

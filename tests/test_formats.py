@@ -6,13 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (Correspondence, DualNetwork, GapWeightRule, Graph, ParseError,
-                       build_alignment_graph, graphs_equal)
+from dualdense import (DualNetwork, GapWeightRule, Graph, ParseError,
+                       build_alignment_graph)
 from dualdense.formats import (canonical_json, export_dot, export_graph, export_graphml,
                                export_json, graph_from_json, parse_checkins,
                                load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list)
-from helpers import random_dual_network, random_graph
+from helpers import graphs_equal, random_dual_network, random_graph
+
+
+# Parser fuzzing: comment marks, quotes, NUL, digits, separators and the
+# Unicode whitespace that str.split() honours but line iteration does not.
+FUZZ_TEXT = (st.text(alphabet='ab01.-e#, "\'\x00\t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000é',
+                     max_size=200)
+             | st.text(max_size=100))
+
+
+def data_lines(text):
+    """Whitespace-split fields of the non-blank, non-comment lines."""
+    return [line.split() for line in text.split("\n")
+            if line.strip() and not line.strip().startswith("#")]
 
 
 class TestParseEdgeList:
@@ -69,23 +82,27 @@ class TestParseEdgeList:
             parse_edge_list(io.StringIO(text), weighted=weighted, name="f.tsv")
         assert str(info.value) == message
 
-    @settings(max_examples=50, deadline=None)
-    @given(text=st.text(alphabet="ab01 .-#\n\t", max_size=200))
-    def test_totality_on_fuzz(self, text):
+    @settings(max_examples=300, deadline=None)
+    @given(text=FUZZ_TEXT, weighted=st.booleans())
+    def test_totality_on_fuzz(self, text, weighted):
         # Every line either parses, is skipped as blank/comment, or raises a
-        # ParseError carrying a line number within the input.
-        lines = text.split("\n")
+        # ParseError carrying a line number within the input; an accepted
+        # list has exactly the labels its data lines name.
         try:
-            parse_edge_list(io.StringIO(text), weighted=True)
+            g = parse_edge_list(io.StringIO(text), weighted=weighted)
         except ParseError as exc:
             assert exc.line_no is not None
-            assert 1 <= exc.line_no <= len(lines)
+            assert 1 <= exc.line_no <= len(text.split("\n"))
+            return
+        rows = data_lines(text)
+        assert all(len(fields) == (3 if weighted else 2) for fields in rows)
+        assert set(g.labels) == {label for fields in rows for label in fields[:2]}
 
 
 class TestParseCorrespondence:
     def test_pairs(self):
         corr = parse_correspondence(io.StringIO("w1 v1\nw2 v2\n"))
-        assert corr.pairs == (("w1", "v1"), ("w2", "v2"))
+        assert corr == (("w1", "v1"), ("w2", "v2"))
 
     def test_duplicate_conceptual(self):
         with pytest.raises(ParseError, match="duplicate conceptual"):
@@ -100,7 +117,7 @@ class TestParseCorrespondence:
             parse_correspondence(io.StringIO("w1\n"))
 
     def test_empty_file_is_empty_correspondence(self):
-        assert parse_correspondence(io.StringIO("")).pairs == ()
+        assert parse_correspondence(io.StringIO("")) == ()
 
 
 def test_byte_order_mark_is_not_label_text(tmp_path):
@@ -135,6 +152,43 @@ class TestParseCheckins:
     def test_bad_coordinates_cite_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_checkins(io.StringIO("u1,45.0,7.5\nu2,oops,7\n"))
+
+    def test_errors_cite_file_lines_after_multiline_field(self):
+        # The quoted user name spans lines 2-3, so eve's record is line 5
+        # of the file but only the fourth CSV record.
+        text = 'user,lat,lon\n"multi\nline",1,2\nbob,1,2\neve,x,3\n'
+        with pytest.raises(ParseError) as info:
+            parse_checkins(io.StringIO(text), name="c.csv")
+        assert str(info.value) == "c.csv:line 5: invalid coordinates 'x','3'"
+
+    def test_malformed_csv_is_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: malformed CSV"):
+            parse_checkins(io.StringIO("u1,45.0,7.5\nu\r2,1,2\n"))
+
+
+class TestParserFuzz:
+    """Arbitrary text yields a result or a ParseError, never another error
+    (edge lists: ``TestParseEdgeList.test_totality_on_fuzz``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=FUZZ_TEXT)
+    def test_correspondence(self, text):
+        try:
+            pairs = parse_correspondence(io.StringIO(text))
+        except ParseError:
+            return
+        assert pairs == tuple(tuple(fields) for fields in data_lines(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=FUZZ_TEXT)
+    def test_checkins(self, text):
+        try:
+            records = parse_checkins(io.StringIO(text))
+        except ParseError as exc:
+            assert exc.line_no is not None and 1 <= exc.line_no <= len(text.split("\n"))
+            return
+        for rec in records:
+            assert -90.0 <= rec.lat <= 90.0 and -180.0 <= rec.lon <= 180.0
 
 
 class TestJsonRoundTrip:
@@ -230,7 +284,7 @@ def golden_graph() -> Graph:
 
 def golden_alignment():
     physical = Graph(LABELS, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    dn = DualNetwork(golden_graph(), physical, Correspondence(tuple((x, x) for x in LABELS)))
+    dn = DualNetwork(golden_graph(), physical, tuple((x, x) for x in LABELS))
     return build_alignment_graph(dn, 3, GapWeightRule.PER_HOP)
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Graph, connected_components, density, graphs_equal, shortest_path_hops, vol
-from dualdense.graph import bfs
-from helpers import bfs_hops, random_graph, subset_density
+from dualdense import Graph, connected_components, density
+from dualdense.graph import bfs, path_to
+from helpers import bfs_hops, graphs_equal, random_graph, subset_density
 
 
 def triangle(w=1.0):
@@ -49,31 +49,6 @@ class TestConstruction:
                 assert g.weight(u, v) == g.weight(v, u)
 
 
-class TestVol:
-    def test_partial_sum(self):
-        g = Graph(["v", "x", "y", "z"], [(0, 1, 0.5), (0, 2, 0.2), (0, 3, 0.9)])
-        assert vol(g, {0, 1, 2}, 0) == pytest.approx(0.7)
-
-    def test_isolated_node(self):
-        g = Graph(["v", "x"], [])
-        assert vol(g, {0}, 0) == 0.0
-
-    def test_triangle_vol(self):
-        g = triangle()
-        for v in range(3):
-            assert vol(g, {0, 1, 2}, v) == 2.0
-
-    def test_v_outside_set(self):
-        g = triangle()
-        with pytest.raises(ValueError):
-            vol(g, {0, 1}, 2)
-
-    def test_set_outside_graph(self):
-        g = triangle()
-        with pytest.raises(ValueError):
-            vol(g, {0, 5}, 0)
-
-
 class TestDensity:
     def test_single_heavy_edge(self):
         g = Graph(["a", "b"], [(0, 1, 3.0)])
@@ -94,7 +69,15 @@ class TestDensity:
             density(triangle(), set())
 
 
+def shortest_path_hops(g, u, v, cap=math.inf):
+    """Hop distance and one shortest u-v path read off ``bfs``, or None."""
+    parent, hits = bfs(g, (u,), cap, targets={v})
+    return (hits[0][1], path_to(parent, v)) if hits else None
+
+
 class TestShortestPathHops:
+    """Shortest hop paths from ``bfs`` and ``path_to``."""
+
     def test_adjacent(self):
         g = triangle()
         assert shortest_path_hops(g, 0, 1) == (1, [0, 1])

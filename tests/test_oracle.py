@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (ConfigError, Connectivity, Correspondence, DcsOptions,
+from dualdense import (ConfigError, Connectivity, DcsOptions,
                        DualNetwork, Graph, brute_force_dcs, extract_dcs,
                        verify_physical_connectivity)
 from helpers import brute_dcs, random_dual_network
@@ -13,7 +13,7 @@ from helpers import brute_dcs, random_dual_network
 def identity_dual(conc_edges, phys_edges, labels):
     conceptual = Graph(labels, conc_edges)
     physical = Graph(labels, [(u, v, 1.0) for u, v in phys_edges])
-    corr = Correspondence(tuple((lab, lab) for lab in labels))
+    corr = tuple((lab, lab) for lab in labels)
     return DualNetwork(conceptual, physical, corr)
 
 
@@ -101,7 +101,7 @@ def test_enumeration_complete_on_trees(seed, n):
         conceptual = Graph(labels, conc)
     physical = Graph(labels, [(u, v, 1.0) for u, v in phys])
     dn = DualNetwork(conceptual, physical,
-                     Correspondence(tuple((lab, lab) for lab in labels)))
+                     tuple((lab, lab) for lab in labels))
     result = brute_force_dcs(dn)
     assert result.explored == count_subtrees(physical)
 

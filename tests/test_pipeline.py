@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (Connectivity, Correspondence, DcsOptions, DualNetwork,
+from dualdense import (Connectivity, DcsOptions, DualNetwork,
                        Graph, IrreparableDisconnection, NoFeasibleSubgraph,
                        brute_force_dcs, density, extract_dcs, generate_planted,
-                       induced, repair_connectivity, result_to_doc,
+                       repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
 from helpers import (bfs_hops, brute_dcs, physically_connected, random_dual_network,
                      random_graph)
@@ -17,8 +17,7 @@ from helpers import (bfs_hops, brute_dcs, physically_connected, random_dual_netw
 def identity_dual(conc_edges, phys_edges, labels):
     conceptual = Graph(labels, conc_edges)
     physical = Graph(labels, [(u, v, 1.0) for u, v in phys_edges])
-    corr = Correspondence(tuple((lab, lab) for lab in labels))
-    return DualNetwork(conceptual, physical, corr)
+    return DualNetwork(conceptual, physical, tuple((lab, lab) for lab in labels))
 
 
 def triangle_with_tail():
@@ -46,7 +45,7 @@ class TestExtractDcs:
         conceptual = Graph(labels, [(0, 1, 0.5)])
         physical = Graph(labels, [])
         dn = DualNetwork(conceptual, physical,
-                         Correspondence((("a", "a"), ("b", "b"))))
+                         (("a", "a"), ("b", "b")))
         with pytest.raises(NoFeasibleSubgraph):
             extract_dcs(dn, DcsOptions(delta=1))
 
@@ -61,7 +60,7 @@ class TestExtractDcs:
     def test_density_matches_independent_recomputation(self):
         dn = triangle_with_tail()
         result = extract_dcs(dn, DcsOptions(delta=2))
-        ci, _ = induced(dn, result.all_nodes)
+        ci = dn.conceptual.subgraph(dn.conceptual_nodes(result.all_nodes))
         assert result.conceptual_density == pytest.approx(
             density(ci, range(ci.n)), rel=1e-9)
 
@@ -72,7 +71,7 @@ class TestExtractDcs:
         plabels = ["v0", "x", "v1"]
         conceptual = Graph(clabels, [(0, 1, 0.9)])
         physical = Graph(plabels, [(0, 1, 1.0), (1, 2, 1.0)])
-        corr = Correspondence((("w0", "v0"), ("w1", "v1")))
+        corr = (("w0", "v0"), ("w1", "v1"))
         dn = DualNetwork(conceptual, physical, corr)
         with pytest.raises(IrreparableDisconnection) as err:
             extract_dcs(dn, DcsOptions(delta=2))
@@ -86,7 +85,7 @@ class TestExtractDcs:
         plabels = ["v0", "x", "v1"]
         conceptual = Graph(clabels, [(0, 1, 0.9)])
         physical = Graph(plabels, [(0, 1, 1.0), (1, 2, 1.0)])
-        corr = Correspondence((("w0", "v0"), ("w1", "v1")))
+        corr = (("w0", "v0"), ("w1", "v1"))
         dn = DualNetwork(conceptual, physical, corr)
         result = extract_dcs(dn, DcsOptions(delta=2, connectivity=Connectivity.RELAXED))
         assert result.nodes == frozenset({0, 1})
@@ -157,8 +156,8 @@ def test_relaxed_matches_auxiliary_graph(seed, n, delta):
     physical = random_graph(rng, n, rng.uniform(0.05, 0.4), weighted=False)
     conceptual = random_graph(rng, n, 0.3)
     covered = sorted(rng.sample(range(n), rng.randint(2, n)))
-    dn = DualNetwork(conceptual, physical, Correspondence(
-        tuple((conceptual.labels[i], physical.labels[i]) for i in covered)))
+    dn = DualNetwork(conceptual, physical,
+                     tuple((conceptual.labels[i], physical.labels[i]) for i in covered))
     members = rng.sample(range(dn.pair_count), rng.randint(2, dn.pair_count))
     assert (verify_physical_connectivity(dn, members, Connectivity.RELAXED, delta)
             == relaxed_reference(dn, members, delta))
@@ -213,5 +212,5 @@ def test_repair_only_adds(seed, n, delta):
     assert physically_connected(dn, result.all_nodes)
     # The selected core is one alignment-graph component.
     assert len(connected_components(result.alignment.graph, result.nodes)) == 1
-    ci, _ = induced(dn, result.all_nodes)
+    ci = dn.conceptual.subgraph(dn.conceptual_nodes(result.all_nodes))
     assert result.conceptual_density == pytest.approx(density(ci, range(ci.n)), rel=1e-9)
