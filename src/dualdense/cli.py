@@ -87,7 +87,11 @@ def cmd_dcs(args) -> int:
 def cmd_align(args) -> int:
     dn = _load_dual(args)
     ag = build_alignment_graph(dn, _parse_delta(args.delta), GapWeightRule(args.gap_mode))
-    _emit(formats.export_graph(ag, args.format), args.output)
+    try:
+        text = formats.export_graph(ag, args.format)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -243,10 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 from xml.sax.saxutils import escape, quoteattr
@@ -68,7 +69,15 @@ def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None)
                 w = 1.0
             yield src, dst, w
 
-    return Graph.from_label_edges(triples())
+    # Graph rejects edge weights whose total overflows; that is an input
+    # error too, so it becomes a ParseError naming the file.  Errors raised
+    # while reading lines pass through (``_load`` reports undecodable text).
+    try:
+        return Graph.from_label_edges(triples())
+    except (ParseError, UnicodeDecodeError):
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), None, name) from None
 
 
 def parse_correspondence(source: LineSource,
@@ -232,10 +241,19 @@ def export_dot(obj: Graph | AlignmentGraph, name: str | None = None,
 
 
 _GRAPHML_TYPES = {"weight": "double", "kind": "string", "distance": "int"}
+# Characters outside the XML 1.0 ``Char`` production; no escape can carry them.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def export_graphml(obj: Graph | AlignmentGraph) -> str:
+    """GraphML document; raises ValueError for a label holding a character
+    that XML 1.0 cannot represent."""
     g, keys, rows = _edge_rows(obj)
+    for lab in g.labels:
+        bad = _NOT_XML_CHAR.search(lab)
+        if bad:
+            raise ValueError(f"GraphML cannot carry the label {lab!r}: "
+                             f"XML 1.0 has no character {bad.group()!r}")
     out = ['<?xml version="1.0" encoding="UTF-8"?>',
            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">']
     for k in keys:

@@ -68,7 +68,13 @@ class Graph:
         self._nbrs = nbrs
         self._wts = wts
         self.edge_count = len(collapsed)
-        self.total_weight = math.fsum(collapsed.values())
+        # Densities sum volumes, so twice the total weight must stay finite.
+        try:
+            self.total_weight = math.fsum(collapsed.values())
+        except OverflowError:
+            self.total_weight = math.inf
+        if not math.isfinite(2.0 * self.total_weight):
+            raise ValueError("edge weights too large: twice their total overflows a float")
         self.duplicates_collapsed = duplicates
 
     @classmethod

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta
+from .align import AlignmentGraph, GapWeightRule, build_alignment_graph
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import Graph, bfs, connected_components, density, is_connected, path_to
+from .graph import bfs, connected_components, density, is_connected, path_to
 from .peel import PeelTrace, peel
 
 
@@ -64,18 +64,19 @@ class DcsResult:
 def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
                                  mode: Connectivity,
                                  delta: float = math.inf) -> bool:
-    """STRICT: the induced physical subgraph on the members is connected.
-    RELAXED: members are connected in the auxiliary graph that joins two
-    members whenever their hop distance in the full physical graph is at
-    most delta.  Empty sets and singletons are vacuously connected."""
+    """STRICT: the induced physical subgraph on the members is connected
+    (``delta`` is ignored).  RELAXED: members are connected in the auxiliary
+    graph that joins two members whenever their hop distance in the full
+    physical graph is at most delta.  Empty sets and singletons are
+    vacuously connected."""
+    if not isinstance(mode, Connectivity):
+        raise ConfigError(f"unknown connectivity mode: {mode!r}")
     S = dn._check(members)
     if len(S) <= 1:
         return True
     phys = {dn.pair_physical[k] for k in S}
     if mode is Connectivity.STRICT:
         return is_connected(dn.physical, phys)
-    if mode is not Connectivity.RELAXED:
-        raise ConfigError(f"unknown connectivity mode: {mode!r}")
 
     # Breadth-first search of the auxiliary graph, one layer per call: the
     # members within delta hops of the previous layer form the next one.
@@ -88,18 +89,6 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     return not remaining
 
 
-def _closest_other_component(g: Graph, comp: list[int],
-                             others: set[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Multi-source BFS from one component over covered physical pairs,
-    stopping at the first node belonging to another component.  Sorted
-    seeds and sorted adjacency make the returned path deterministic."""
-    parent, hits = bfs(g, comp, targets=others, need=1)
-    if not hits:
-        return None
-    target, depth = hits[0]
-    return depth, tuple(path_to(parent, target))
-
-
 def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[int]:
     """Connector pairs that stitch the members into one physically connected
     set.
@@ -107,35 +96,29 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
     Components of the induced physical subgraph are joined iteratively,
     closest pair of components first, along a shortest path through
     correspondence-covered physical nodes (connectors must belong to the
-    dual universe so their conceptual density is defined).  Returns only the
+    dual universe so their conceptual density is defined).  Each round runs
+    one multi-source BFS per component, stopping at the first member of
+    another component; sorted seeds and sorted adjacency make the chosen
+    path deterministic, and ties go to the smallest path.  Returns only the
     added pairs; raises IrreparableDisconnection when some components cannot
     be joined through covered nodes.
     """
     S = dn._check(members)
     g = dn.pair_graph
     current = set(S)
-    connectors: set[int] = set()
     comps = connected_components(g, current)
     while len(comps) > 1:
-        member_of = {}
-        for idx, comp in enumerate(comps):
-            for k in comp:
-                member_of[k] = idx
-        best: tuple[int, tuple[int, ...]] | None = None
-        for idx, comp in enumerate(comps):
-            others = {k for k in current if member_of[k] != idx}
-            hit = _closest_other_component(g, comp, others)
-            if hit is not None and (best is None or hit < best):
-                best = hit
-        if best is None:
+        joins: list[tuple[int, list[int]]] = []
+        for comp in comps:
+            parent, hits = bfs(g, comp, targets=current.difference(comp), need=1)
+            joins += [(depth, path_to(parent, target)) for target, depth in hits]
+        if not joins:
             raise IrreparableDisconnection(
                 "selected components cannot be joined through "
                 "correspondence-covered physical nodes")
-        new_nodes = [k for k in best[1] if k not in current]
-        connectors.update(new_nodes)
-        current.update(new_nodes)
+        current.update(min(joins)[1])
         comps = connected_components(g, current)
-    return frozenset(connectors)
+    return frozenset(current - S)
 
 
 def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
@@ -145,10 +128,9 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
     one with maximum conceptual density is kept (ties: larger size, then
     lexicographically smallest).  Raises NoFeasibleSubgraph when the
     alignment graph has no edges, and IrreparableDisconnection (carrying the
-    partial result) when strict repair is impossible.
+    unrepaired result) when strict repair is impossible.
     """
     opts = opts or DcsOptions()
-    check_delta(opts.delta)
     ag = build_alignment_graph(dn, opts.delta, opts.gap_mode)
     if ag.graph.edge_count == 0:
         raise NoFeasibleSubgraph(
@@ -156,53 +138,30 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
             f"(delta={opts.delta}, {dn.pair_count} composite nodes)")
 
     peeled, trace = peel(ag.graph)
-    warnings: list[str] = []
+    core_density, size, negated_ids = max(
+        (density(dn.conceptual, dn.conceptual_nodes(comp)), len(comp), tuple(-k for k in comp))
+        for comp in connected_components(ag.graph, peeled.nodes))
+    selected = frozenset(-k for k in negated_ids)
+    result = DcsResult(
+        nodes=selected, connector_nodes=frozenset(),
+        conceptual_density=core_density, core_density=core_density,
+        alignment_density=density(ag.graph, selected),
+        physically_connected=verify_physical_connectivity(
+            dn, selected, opts.connectivity, opts.delta),
+        trace=trace, alignment=ag,
+        warnings=["best component is a single node (density 0)"] if size == 1 else [])
 
-    components = connected_components(ag.graph, peeled.nodes)
-    best_comp: list[int] | None = None
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    for comp in components:
-        cd = density(dn.conceptual, dn.conceptual_nodes(comp))
-        key = (cd, len(comp), tuple(-k for k in comp))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_comp = comp
-    assert best_comp is not None
-    selected = frozenset(best_comp)
-    if len(selected) == 1:
-        warnings.append("best component is a single node (density 0)")
-
-    core_density = density(dn.conceptual, dn.conceptual_nodes(selected))
-    alignment_density = density(ag.graph, selected)
-
-    connectors: frozenset[int] = frozenset()
-    if opts.connectivity is Connectivity.STRICT:
-        connected = verify_physical_connectivity(dn, selected, Connectivity.STRICT)
-        if not connected and opts.repair:
-            try:
-                connectors = repair_connectivity(dn, selected)
-            except IrreparableDisconnection as exc:
-                exc.partial = DcsResult(
-                    nodes=selected, connector_nodes=frozenset(),
-                    conceptual_density=core_density, core_density=core_density,
-                    alignment_density=alignment_density, physically_connected=False,
-                    trace=trace, alignment=ag, warnings=warnings)
-                raise
-            connected = True
-    elif opts.connectivity is Connectivity.RELAXED:
-        connected = verify_physical_connectivity(
-            dn, selected, Connectivity.RELAXED, delta=opts.delta)
-    else:
-        raise ConfigError(f"unknown connectivity mode: {opts.connectivity!r}")
-
-    final = selected | connectors
-    conceptual_density = (core_density if not connectors
-                          else density(dn.conceptual, dn.conceptual_nodes(final)))
-    return DcsResult(
-        nodes=selected, connector_nodes=connectors,
-        conceptual_density=conceptual_density, core_density=core_density,
-        alignment_density=alignment_density, physically_connected=connected,
-        trace=trace, alignment=ag, warnings=warnings)
+    if (not result.physically_connected and opts.repair
+            and opts.connectivity is Connectivity.STRICT):
+        try:
+            result.connector_nodes = repair_connectivity(dn, selected)
+        except IrreparableDisconnection as exc:
+            exc.partial = result
+            raise
+        result.conceptual_density = density(
+            dn.conceptual, dn.conceptual_nodes(result.all_nodes))
+        result.physically_connected = True
+    return result
 
 
 def result_to_doc(result: DcsResult, dn: DualNetwork, opts: DcsOptions) -> dict:

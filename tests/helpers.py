@@ -109,16 +109,57 @@ def physically_connected(dn: DualNetwork, pair_ids) -> bool:
     return len(seen) == len(phys)
 
 
-def brute_dcs(dn: DualNetwork, max_size: int | None = None) -> tuple[float, frozenset[int]]:
-    """Exact DCS by powerset enumeration: physically connected pair subsets
-    of size >= 2 (singleton {0} fallback), maximizing conceptual density."""
+def relaxed_graph(dn: DualNetwork, delta: float) -> dict[int, list[int]]:
+    """The auxiliary graph of RELAXED connectivity over pair ids: two pairs
+    are joined when their physical nodes are at most delta hops apart in
+    the full physical graph (``bfs_hops``)."""
+    def near(a: int, b: int) -> bool:
+        d = bfs_hops(dn.physical, dn.pair_physical[a], dn.pair_physical[b])
+        return d is not None and d <= delta
+    ids = range(dn.pair_count)
+    return {a: [b for b in ids if b != a and near(a, b)] for a in ids}
+
+
+def relaxed_connected(dn: DualNetwork, pair_ids, delta: float,
+                      aux: dict[int, list[int]] | None = None) -> bool:
+    """Connectivity of the pairs in the auxiliary graph ``relaxed_graph``
+    (pass ``aux`` to reuse one), by an independent DFS."""
+    aux = relaxed_graph(dn, delta) if aux is None else aux
+    S = set(pair_ids)
+    if len(S) <= 1:
+        return True
+    start = min(S)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for b in aux[stack.pop()]:
+            if b in S and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(S)
+
+
+def brute_dcs(dn: DualNetwork, max_size: int | None = None,
+              delta: float | None = None) -> tuple[float, frozenset[int]]:
+    """Exact DCS by powerset enumeration: pair subsets of size >= 2
+    (singleton {0} fallback), maximizing conceptual density, that are
+    connected in the induced physical subgraph (STRICT) or, given
+    ``delta``, in the auxiliary graph of ``relaxed_graph`` (RELAXED)."""
     n = dn.pair_count
     max_size = n if max_size is None else min(max_size, n)
     conc_idx = dn.pair_conceptual
+    if delta is None:
+        def connected(combo):
+            return physically_connected(dn, combo)
+    else:
+        aux = relaxed_graph(dn, delta)
+
+        def connected(combo):
+            return relaxed_connected(dn, combo, delta, aux)
     best = None
     for size in range(2, max_size + 1):
         for combo in combinations(range(n), size):
-            if not physically_connected(dn, combo):
+            if not connected(combo):
                 continue
             d = subset_density(dn.conceptual, [conc_idx[k] for k in combo])
             key = (-d, size, combo)

@@ -256,6 +256,41 @@ class TestGenAndStats:
         assert doc["components"] == 1
 
 
+@pytest.mark.parametrize("command", ["dcs", "peel", "stats"])
+@pytest.mark.parametrize("text", ["a b 1e308\n", "a b 1e308\nb c 1e308\n"],
+                         ids=["one-edge", "two-edges"])
+def test_overflowing_weights_exit_2(toy_instance, tmp_path, capsys, command, text):
+    big = tmp_path / "big.tsv"
+    big.write_text(text)
+    if command == "dcs":
+        args = ["dcs", *dual_args(dict(toy_instance, conceptual=str(big)))]
+    else:
+        args = [command, "--graph", str(big)]
+    assert main(args) == 2
+    assert tuple(capsys.readouterr()) == (
+        "", f"error: {big}: edge weights too large: twice their total overflows a float\n")
+
+
+@pytest.mark.parametrize("char", ["\x01", "\ufffe", "\uffff"])
+def test_graphml_refuses_label_xml_cannot_carry(tmp_path, capsys, char):
+    paths = {"conceptual": tmp_path / "c.tsv", "physical": tmp_path / "p.tsv",
+             "correspondence": tmp_path / "f.tsv"}
+    paths["conceptual"].write_text(f"a{char} b 1.0\n", encoding="utf-8")
+    paths["physical"].write_text(f"a{char} b\n", encoding="utf-8")
+    paths["correspondence"].write_text(f"a{char} a{char}\nb b\n", encoding="utf-8")
+    args = ["align", *dual_args({k: str(v) for k, v in paths.items()})]
+    out = tmp_path / "align.graphml"
+    assert main([*args, "--format", "graphml", "--output", str(out)]) == 2
+    label = f"a{char}|a{char}"
+    assert capsys.readouterr().err == (
+        f"error: GraphML cannot carry the label {label!r}: XML 1.0 has no character {char!r}\n")
+    assert not out.exists()
+    assert main([*args, "--format", "json"]) == 0
+    assert label in json.loads(capsys.readouterr().out)["nodes"]
+    assert main([*args, "--format", "dot"]) == 0
+    assert f'"{label}";' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["dcs", "stats"])
 def test_non_utf8_input_exit_2(toy_instance, tmp_path, capsys, command):
     bad = tmp_path / "bad.tsv"

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,10 @@ class TestParseEdgeList:
         ("a b x\n", True, "f.tsv:line 1: invalid weight 'x'"),
         ("a b 1\na c -1\n", True, "f.tsv:line 2: edge weight must be positive, got -1"),
         ("a b nan\n", True, "f.tsv:line 1: edge weight must be positive, got nan"),
+        ("a b 1e308\n", True,
+         "f.tsv: edge weights too large: twice their total overflows a float"),
+        ("a b 1e308\nb c 1e308\n", True,
+         "f.tsv: edge weights too large: twice their total overflows a float"),
     ])
     def test_error_messages(self, text, weighted, message):
         with pytest.raises(ParseError) as info:
@@ -237,6 +242,23 @@ class TestExports:
         g = Graph(["a", "b"], [(0, 1, 0.5)])
         xml = export_graphml(g)
         assert '<data key="weight">0.5</data>' in xml
+
+    @pytest.mark.parametrize("label", ["a\x01", "b\x1f", "c\ufffe", "d\uffff", "e\ud800"])
+    def test_graphml_refuses_labels_xml_cannot_carry(self, label):
+        g = Graph([label, "ok"], [(0, 1, 0.5)])
+        with pytest.raises(ValueError) as info:
+            export_graphml(g)
+        assert repr(label) in str(info.value)
+        # JSON and DOT carry any label.
+        assert graphs_equal(graph_from_json(export_json(g)), g)
+        assert f'  "{label}";' in export_dot(g)
+
+    def test_graphml_parses_with_unusual_labels(self):
+        labels = ["\u00e9", "\x7f", "\U0001f600", "\ufffd", 'q"<&>']
+        g = Graph(labels, [(0, 1, 0.5), (2, 3, 1.0), (3, 4, 2.0)])
+        root = ElementTree.fromstring(export_graphml(g).encode("utf-8"))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        assert [node.get("id") for node in root.iter(ns + "node")] == labels
 
     def test_alignment_exports_carry_kind(self):
         dn = random_dual_network(random.Random(4), 8)

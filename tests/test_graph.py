@@ -33,6 +33,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(["a", "b"], [(0, 1, w)])
 
+    # The second case overflows inside fsum, the third only when doubled.
+    @pytest.mark.parametrize("weights", [[1e308], [1e308, 1e308], [8.9e307, 8.9e307]])
+    def test_overflowing_total_rejected(self, weights):
+        edges = [(0, i + 1, w) for i, w in enumerate(weights)]
+        with pytest.raises(ValueError, match="twice their total overflows"):
+            Graph(["a", "b", "c"], edges)
+
+    def test_large_finite_total_accepted(self):
+        g = Graph(["a", "b", "c"], [(0, 1, 4e307), (1, 2, 4e307)])
+        assert g.total_weight == 8e307
+        assert density(g, {0, 1, 2}) == pytest.approx(2 * 8e307 / 3)
+
     def test_duplicate_edges_keep_max(self):
         g = Graph(["a", "b"], [(0, 1, 0.2), (1, 0, 0.7), (0, 1, 0.5)])
         assert g.edge_count == 1

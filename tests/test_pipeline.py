@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (Connectivity, DcsOptions, DualNetwork,
+from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        Graph, IrreparableDisconnection, NoFeasibleSubgraph,
                        brute_force_dcs, density, extract_dcs, generate_planted,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
-from helpers import (bfs_hops, brute_dcs, physically_connected, random_dual_network,
-                     random_graph)
+from helpers import (brute_dcs, physically_connected, random_dual_network, random_graph,
+                     relaxed_connected)
 
 
 def identity_dual(conc_edges, phys_edges, labels):
@@ -78,7 +78,15 @@ class TestExtractDcs:
         partial = err.value.partial
         assert partial is not None
         assert partial.nodes == frozenset({0, 1})
+        assert partial.connector_nodes == frozenset()
+        assert partial.conceptual_density == partial.core_density == 0.9
         assert not partial.physically_connected
+
+    @pytest.mark.parametrize("opts", [DcsOptions(connectivity="strict"), DcsOptions(delta=0)],
+                             ids=["connectivity-string", "delta-0"])
+    def test_bad_options_raise_config_error(self, opts):
+        with pytest.raises(ConfigError):
+            extract_dcs(triangle_with_tail(), opts)
 
     def test_relaxed_mode_reports_detour_connectivity(self):
         clabels = ["w0", "w1"]
@@ -127,40 +135,44 @@ class TestVerifyPhysicalConnectivity:
         assert verify_physical_connectivity(dn, {3}, Connectivity.RELAXED, delta=1)
 
 
-def relaxed_reference(dn, members, delta):
-    """Connectivity of the explicit auxiliary graph joining members whose
-    hop distance in the full physical graph is at most delta."""
-    phys = sorted({dn.pair_physical[k] for k in members})
-    if len(phys) <= 1:
-        return True
-    aux = {p: [q for q in phys if q != p
-               and (d := bfs_hops(dn.physical, p, q)) is not None and d <= delta]
-           for p in phys}
-    seen = {phys[0]}
-    stack = [phys[0]]
-    while stack:
-        for q in aux[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(phys)
+def partially_covered_dual(rng, n, p_phys_max, p_conc):
+    """Random dual network whose correspondence covers a random subset of
+    at least two nodes: detours may pass through uncovered nodes."""
+    physical = random_graph(rng, n, rng.uniform(0.05, p_phys_max), weighted=False)
+    conceptual = random_graph(rng, n, p_conc)
+    covered = sorted(rng.sample(range(n), rng.randint(2, n)))
+    return DualNetwork(conceptual, physical,
+                       tuple((conceptual.labels[i], physical.labels[i]) for i in covered))
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 14),
        delta=st.sampled_from([1, 2, 3, math.inf]))
 def test_relaxed_matches_auxiliary_graph(seed, n, delta):
-    # Sparse physical graphs with uncovered nodes: detours may pass through
-    # nodes outside the correspondence.
     rng = random.Random(seed)
-    physical = random_graph(rng, n, rng.uniform(0.05, 0.4), weighted=False)
-    conceptual = random_graph(rng, n, 0.3)
-    covered = sorted(rng.sample(range(n), rng.randint(2, n)))
-    dn = DualNetwork(conceptual, physical,
-                     tuple((conceptual.labels[i], physical.labels[i]) for i in covered))
+    dn = partially_covered_dual(rng, n, 0.4, 0.3)
     members = rng.sample(range(dn.pair_count), rng.randint(2, dn.pair_count))
     assert (verify_physical_connectivity(dn, members, Connectivity.RELAXED, delta)
-            == relaxed_reference(dn, members, delta))
+            == relaxed_connected(dn, members, delta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+       delta=st.sampled_from([1, 2, 3, math.inf]))
+def test_relaxed_never_beats_brute_force(seed, n, delta):
+    # RELAXED counterpart of C2: a result reported as connected is a
+    # feasible set, so its density cannot exceed the exact optimum.  About
+    # half the instances have an edgeless alignment graph and stop early.
+    dn = partially_covered_dual(random.Random(seed), n, 0.5, 0.5)
+    try:
+        result = extract_dcs(dn, DcsOptions(delta=delta, connectivity=Connectivity.RELAXED))
+    except NoFeasibleSubgraph:
+        return
+    assert result.connector_nodes == frozenset()
+    assert result.physically_connected == relaxed_connected(dn, result.nodes, delta)
+    if result.physically_connected:
+        best, _ = brute_dcs(dn, delta=delta)
+        assert result.conceptual_density <= best + 1e-9 * max(1.0, best)
 
 
 class TestRepairConnectivity:
