@@ -6,7 +6,10 @@ of composite nodes: physical adjacency yields a Match edge carrying the
 conceptual weight; a physical hop distance d with 2 <= d <= delta yields a
 Gap(d) edge weighted by the selected gap rule; anything farther yields no
 edge.  delta = infinity turns the distance test into same-component
-reachability.
+reachability.  Each gap distance is one capped bidirectional search
+(``graph.hop_distance``) between the candidate's two physical nodes, so
+the work per candidate grows with the balls of radius about delta/2 around
+its endpoints rather than with one ball of radius delta.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import Graph, bfs
+from .graph import Graph, hop_distance
 
 MATCH = "match"
 GAP = "gap"
@@ -94,11 +97,14 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
                           gap_mode: GapWeightRule = GapWeightRule.PER_HOP) -> AlignmentGraph:
     """Merge a dual network into its weighted alignment graph.
 
-    Candidate edges are the conceptual edges whose endpoints are both
-    covered by the correspondence (every alignment edge requires conceptual
-    adjacency, so scanning all composite-node pairs is never needed).
-    Physical hop distances are resolved by one BFS per source, truncated at
-    delta and stopped once all of that source's targets are found.
+    One scan over the conceptual edges visits every candidate: an edge
+    whose endpoints are both covered by the correspondence (every alignment
+    edge requires conceptual adjacency, so scanning all composite-node
+    pairs is never needed).  A physically adjacent candidate is a match
+    edge; any other, when delta >= 2, gets its hop distance from one
+    ``hop_distance`` call capped at delta and becomes a gap edge if that
+    distance exists.  Nothing is cached between candidates, so memory stays
+    that of the two graphs plus one search.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
@@ -108,11 +114,6 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    # Candidate scan: conceptual edges between covered nodes.  Physically
-    # adjacent ones are match edges; the rest wait for a distance query,
-    # grouped by their lower physical endpoint (pairs are one-to-one, so
-    # each physical node pair belongs to at most one candidate).
-    queries: dict[int, dict[int, tuple[int, int, float]]] = {}
     for ci, cj, w in dn.conceptual.edges():
         ki = dn.pair_of_conceptual.get(ci)
         kj = dn.pair_of_conceptual.get(cj)
@@ -123,14 +124,10 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
             edges.append((ki, kj, w))
             kinds[(ki, kj) if ki < kj else (kj, ki)] = (MATCH, 1)
         elif delta >= 2:
-            src, dst = (pi, pj) if pi < pj else (pj, pi)
-            queries.setdefault(src, {})[dst] = (ki, kj, w)
-
-    # Targets are never physical neighbours, so every hit is a gap.
-    for src, pending in queries.items():
-        for dst, d in bfs(physical, (src,), delta, targets=pending)[1]:
-            ki, kj, w = pending[dst]
-            edges.append((ki, kj, gap_weight(gap_mode, w, d)))
-            kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
+            # Not adjacent, so any distance within delta is a gap.
+            d = hop_distance(physical, pi, pj, delta)
+            if d is not None:
+                edges.append((ki, kj, gap_weight(gap_mode, w, d)))
+                kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
 
     return AlignmentGraph(Graph(labels, edges), kinds, delta, gap_mode)

@@ -231,6 +231,38 @@ def bfs(g: Graph, sources: Iterable[int], cap: float = math.inf,
     return parent, hits
 
 
+def hop_distance(g: Graph, s: int, t: int, cap: float = math.inf) -> Optional[int]:
+    """Hop distance from s to t, or None when it exceeds ``cap`` or t is
+    unreachable.
+
+    Bidirectional search over whole layers (Pohl, 1971): each side keeps
+    the ball of nodes it has reached and its outermost layer, and the side
+    with the smaller layer grows by one, in one C-level set union over the
+    layer's adjacency lists.  The balls stay disjoint until the distance is
+    found, so the first new layer that meets the other ball gives it; a
+    side whose new layer is empty has exhausted its component.  Unlike
+    ``bfs`` this builds no parent map: it answers one point-to-point query.
+    """
+    if s == t:
+        return 0
+    nbrs = g._nbrs
+    near, near_layer = {s}, [s]
+    far, far_layer = {t}, [t]
+    d = 0
+    while d < cap:
+        if len(far_layer) < len(near_layer):
+            near, near_layer, far, far_layer = far, far_layer, near, near_layer
+        layer = set().union(*[nbrs[x] for x in near_layer]) - near
+        if not layer:
+            return None
+        d += 1
+        if not far.isdisjoint(layer):
+            return d
+        near |= layer
+        near_layer = layer
+    return None
+
+
 def path_to(parent: dict[int, int], v: int) -> list[int]:
     """Source-to-v path read off a ``bfs`` parent map."""
     path = [v]

@@ -68,7 +68,9 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     (``delta`` is ignored).  RELAXED: members are connected in the auxiliary
     graph that joins two members whenever their hop distance in the full
     physical graph is at most delta.  Empty sets and singletons are
-    vacuously connected."""
+    vacuously connected.  ``extract_dcs`` needs only the STRICT check (its
+    RELAXED selections are connected by construction); RELAXED checks
+    arbitrary member sets."""
     if not isinstance(mode, Connectivity):
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
     S = dn._check(members)
@@ -142,12 +144,15 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
         (density(dn.conceptual, dn.conceptual_nodes(comp)), len(comp), tuple(-k for k in comp))
         for comp in connected_components(ag.graph, peeled.nodes))
     selected = frozenset(-k for k in negated_ids)
+    # A RELAXED selection is connected by construction: it is one
+    # alignment-graph component, and every alignment edge joins pairs at
+    # most delta physical hops apart, which is an auxiliary-graph edge.
     result = DcsResult(
         nodes=selected, connector_nodes=frozenset(),
         conceptual_density=core_density, core_density=core_density,
         alignment_density=density(ag.graph, selected),
-        physically_connected=verify_physical_connectivity(
-            dn, selected, opts.connectivity, opts.delta),
+        physically_connected=(opts.connectivity is Connectivity.RELAXED
+                              or verify_physical_connectivity(dn, selected, opts.connectivity)),
         trace=trace, alignment=ag,
         warnings=["best component is a single node (density 0)"] if size == 1 else [])
 

@@ -128,7 +128,7 @@ def reference_alignment(dn, delta, mode):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 15),
-       delta=st.sampled_from([1, 2, 4, math.inf]),
+       delta=st.sampled_from([1, 2, 3, 4, 5, math.inf]),
        mode=st.sampled_from(list(GapWeightRule)))
 def test_matches_pairwise_reference(seed, n, delta, mode):
     dn = random_dual_network(random.Random(seed), n)

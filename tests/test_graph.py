@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density
-from dualdense.graph import bfs, path_to
+from dualdense.graph import bfs, hop_distance, path_to
 from helpers import bfs_hops, graphs_equal, random_graph, subset_density
 
 
@@ -205,6 +205,68 @@ def test_bfs_path_valid(g, seed, cap):
     assert len(path) == d + 1 and path[0] == u and path[-1] == v
     for a, b in zip(path, path[1:]):
         assert g.has_edge(a, b)
+
+
+def forest_graph(rng):
+    """Several components, each a random tree plus a few chords, and
+    isolated nodes.  Each tree node hangs off one of the three nodes added
+    before it, so hop distances up to about half a component occur.  Node
+    indices are shuffled so that components interleave."""
+    n = rng.randint(1, 30)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    start = 0
+    while start < n:
+        block = order[start:start + rng.randint(1, 12)]
+        start += len(block)
+        for i in range(1, len(block)):
+            u, v = block[i], block[rng.randrange(max(0, i - 3), i)]
+            edges.add((min(u, v), max(u, v)))
+        for _ in range(rng.randint(0, len(block) // 3)):
+            u, v = sorted(rng.sample(block, 2))
+            edges.add((u, v))
+    return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in sorted(edges)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_hop_distance_matches_reference(seed):
+    # Every ordered pair, s == t included, at every cap: unreachable pairs
+    # and pairs beyond the cap both give None.
+    g = forest_graph(random.Random(seed))
+    for s in range(g.n):
+        for t in range(g.n):
+            d = bfs_hops(g, s, t)
+            for cap in (1, 2, 3, 4, 5, 6, math.inf):
+                expected = d if d is not None and d <= cap else None
+                assert hop_distance(g, s, t, cap) == expected, (s, t, cap)
+
+
+class _ReadLog(list):
+    """Adjacency table that records which rows a search reads."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("hub_first", [True, False])
+def test_hop_distance_grows_smaller_side(hub_first):
+    # Path s-a-b-c-t with 30 leaves hanging off s.  The hub's side grows at
+    # most once (its first layer has 31 nodes), so no leaf's adjacency row
+    # is ever read, whichever endpoint the search starts from.
+    labels = ["s", "a", "b", "c", "t"] + [f"leaf{i}" for i in range(30)]
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+    edges += [(0, 5 + i, 1.0) for i in range(30)]
+    g = Graph(labels, edges)
+    g._nbrs = _ReadLog(g._nbrs)
+    assert hop_distance(g, *((0, 4) if hub_first else (4, 0))) == 4
+    assert g._nbrs.read.isdisjoint(range(5, 35))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import math
 import random
+import resource
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,19 @@ def test_repair_only_adds(seed, n, delta):
     assert len(connected_components(result.alignment.graph, result.nodes)) == 1
     ci = dn.conceptual.subgraph(dn.conceptual_nodes(result.all_nodes))
     assert result.conceptual_density == pytest.approx(density(ci, range(ci.n)), rel=1e-9)
+
+
+def test_default_delta_at_c8_scale():
+    # C8's instance (same generate_planted call and seed) under C8's
+    # budgets, but with the default options: delta=4 instead of 2.
+    n = 100_000
+    pair_count = n * (n - 1) // 2
+    inst = generate_planted(n, 8, seed=99, background_edge_prob=500_000 / pair_count,
+                            physical_edge_prob=(500_000 - (n - 1)) / pair_count)
+    t0 = time.monotonic()
+    result = extract_dcs(inst.dual, DcsOptions())
+    elapsed = time.monotonic() - t0
+    rss_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 ** 2)
+    assert result.physically_connected
+    assert elapsed < 120.0, f"{elapsed:.1f}s"
+    assert rss_gb < 4.0, f"peak {rss_gb:.2f} GB"
