@@ -13,7 +13,7 @@ from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError)
 from .graph import Graph, connected_components, density, is_connected
 from .oracle import OracleResult, brute_force_dcs
-from .peel import DensestResult, PeelTrace, exact_densest, peel
+from .peel import DensestResult, PeelTrace, peel
 from .pipeline import (Connectivity, DcsOptions, DcsResult, extract_dcs,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
@@ -28,7 +28,7 @@ __all__ = [
     "NoFeasibleSubgraph", "ParseError",
     "Graph", "connected_components", "density", "is_connected",
     "OracleResult", "brute_force_dcs",
-    "DensestResult", "PeelTrace", "exact_densest", "peel",
+    "DensestResult", "PeelTrace", "peel",
     "Connectivity", "DcsOptions", "DcsResult", "extract_dcs",
     "repair_connectivity", "result_to_doc", "verify_physical_connectivity",
     "PlantedInstance", "generate_planted",

@@ -1,5 +1,5 @@
-"""Parsing and serialization: edge lists, correspondence files, check-in
-CSVs, and graph exports.
+"""Parsing and serialization: edge lists, correspondence files and graph
+exports.
 
 There is one exporter per format (``export_json``, ``export_dot``,
 ``export_graphml``); each takes a plain ``Graph`` or an ``AlignmentGraph``,
@@ -12,11 +12,9 @@ reported with its line number.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 from xml.sax.saxutils import escape, quoteattr
 
@@ -25,13 +23,6 @@ from .errors import ParseError
 from .graph import Graph
 
 LineSource = Union[IO[str], Iterable[str]]
-
-
-@dataclass(frozen=True)
-class CheckinRecord:
-    user: str
-    lat: float
-    lon: float
 
 
 def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None) -> Graph:
@@ -107,40 +98,6 @@ def parse_correspondence(source: LineSource,
     return tuple(pairs)
 
 
-def parse_checkins(source: LineSource, name: str | None = None) -> list[CheckinRecord]:
-    """Parse ``user,lat,lon`` CSV records.
-
-    The first row is treated as a header exactly when its coordinate fields
-    do not parse as numbers.  Errors on any later row cite the file line
-    the row ends on (a quoted field may span lines).
-    """
-    records: list[CheckinRecord] = []
-    reader = csv.reader(source)
-    try:
-        for record_no, row in enumerate(reader):
-            line_no = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 'user,lat,lon', got {len(row)} fields", line_no, name)
-            user, lat_s, lon_s = (f.strip() for f in row)
-            try:
-                lat, lon = float(lat_s), float(lon_s)
-            except ValueError:
-                if record_no == 0:
-                    continue  # header row
-                raise ParseError(f"invalid coordinates {lat_s!r},{lon_s!r}",
-                                 line_no, name) from None
-            if not -90.0 <= lat <= 90.0:
-                raise ParseError(f"latitude {lat} outside [-90, 90]", line_no, name)
-            if not -180.0 <= lon <= 180.0:
-                raise ParseError(f"longitude {lon} outside [-180, 180]", line_no, name)
-            records.append(CheckinRecord(user, lat, lon))
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV ({exc})", reader.line_num, name) from None
-    return records
-
-
 def _load(path: str, parse, *args):
     # utf-8-sig reads a leading byte-order mark as encoding, not label text.
     try:
@@ -169,20 +126,6 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def graph_from_json(text: str, name: str | None = None) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", None, name) from None
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise ParseError("graph JSON must contain 'nodes' and 'edges'", None, name)
-    try:
-        return Graph.from_label_edges(
-            ((a, b, w) for a, b, w in doc["edges"]), nodes=doc["nodes"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad graph JSON: {exc}", None, name) from None
-
-
 def _edge_rows(obj: Graph | AlignmentGraph) -> tuple[Graph, tuple[str, ...], Iterator[tuple]]:
     """The graph, its edge attribute names (``weight``, plus ``kind`` and
     ``distance`` for an alignment graph), and its edges in index order as
@@ -196,9 +139,9 @@ def _edge_rows(obj: Graph | AlignmentGraph) -> tuple[Graph, tuple[str, ...], Ite
 
 def export_json(obj: Graph | AlignmentGraph) -> str:
     """Canonical JSON: sorted node labels and sorted edges.  A plain graph's
-    edges are ``[a, b, weight]`` triples (``graph_from_json`` reads them
-    back); an alignment graph's are objects that add ``kind`` and
-    ``distance``, and the document records ``delta`` and ``gap_mode``."""
+    edges are ``[a, b, weight]`` triples; an alignment graph's are objects
+    that add ``kind`` and ``distance``, and the document records ``delta``
+    and ``gap_mode``."""
     g, keys, rows = _edge_rows(obj)
     # Label pairs are unique, so the sort never compares attribute values.
     edges = sorted([*sorted((a, b)), *values] for a, b, values in rows)

@@ -106,9 +106,6 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown node label {label!r}") from None
 
-    def has_label(self, label: str) -> bool:
-        return label in self._index
-
     def neighbors(self, u: int) -> Sequence[int]:
         return self._nbrs[u]
 

@@ -2,8 +2,7 @@
 
 ``peel`` is the greedy 2-approximation: repeatedly remove the node with
 minimum weighted degree, track the density of every suffix, and return the
-densest one.  ``exact_densest`` enumerates all subsets (small graphs only)
-and serves as the oracle the greedy result is checked against.
+densest one.
 """
 
 from __future__ import annotations
@@ -95,52 +94,3 @@ def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     trace = PeelTrace(removal_order, densities, best_index, tied)
     nodes = frozenset(removal_order[best_index:])
     return DensestResult(nodes, density(g, nodes), exact=False), trace
-
-
-DEFAULT_EXACT_LIMIT = 20
-
-
-def exact_densest(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DensestResult:
-    """Exhaustive maximum-density subset, for small graphs.
-
-    Subset weights are built up by bitmask dynamic programming over all
-    2^n - 1 candidates.  Ties break toward the smallest lexicographic
-    node-index sequence.
-    """
-    n = g.n
-    if n == 0:
-        raise ValueError("cannot solve an empty graph")
-    if n > limit:
-        raise ValueError(f"graph has {n} nodes; exact solver is limited to {limit}")
-
-    nbrs = [list(g.neighbors(v)) for v in range(n)]
-    wts = [[g.weight(v, u) for u in nbrs[v]] for v in range(n)]
-
-    size = 1 << n
-    weight_of = [0.0] * size
-    best_density = 0.0
-    best_mask = 1  # singleton {0}: density 0, lexicographic minimum
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        add = 0.0
-        row = nbrs[low]
-        wrow = wts[low]
-        for i in range(len(row)):
-            if rest >> row[i] & 1:
-                add += wrow[i]
-        w = weight_of[rest] + add
-        weight_of[mask] = w
-        d = 2.0 * w / mask.bit_count()
-        if d > best_density:
-            best_density = d
-            best_mask = mask
-        elif d == best_density and _mask_key(mask) < _mask_key(best_mask):
-            best_mask = mask
-
-    nodes = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return DensestResult(nodes, density(g, nodes), exact=True)
-
-
-def _mask_key(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)

@@ -75,6 +75,11 @@ def generate_planted(n: int, k: int, seed: int,
         raise ConfigError(f"planted size must satisfy 2 <= k <= n, got k={k}, n={n}")
     if not 0 < background_weight_cap < 1.0:
         raise ConfigError(f"background weight cap must lie in (0, 1), got {background_weight_cap}")
+    # The smallest background weight drawn below is cap * 2**-53, which
+    # underflows to 0.0 (no valid edge weight) for caps up to 2**-1022.
+    if background_weight_cap * 2.0 ** -53 == 0.0:
+        raise ConfigError(f"background weight cap {background_weight_cap!r} is too small:"
+                          " weights drawn below it underflow to 0")
     if physical_edge_prob is None:
         physical_edge_prob = background_edge_prob
     for what, p in (("background", background_edge_prob), ("physical", physical_edge_prob)):

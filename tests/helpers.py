@@ -4,12 +4,13 @@ with the implementations they check)."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
 from itertools import combinations
 
-from dualdense import DualNetwork, Graph
+from dualdense import DensestResult, DualNetwork, Graph, ParseError, density
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = True) -> Graph:
@@ -192,3 +193,68 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
     def edge_map(g: Graph) -> dict[tuple[str, str], float]:
         return {(la, lb) if la < lb else (lb, la): w for la, lb, w in g.label_edges()}
     return set(a.labels) == set(b.labels) and edge_map(a) == edge_map(b)
+
+
+def graph_from_json(text: str, name: str | None = None) -> Graph:
+    """Read back a plain graph written by ``formats.export_json``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", None, name) from None
+    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
+        raise ParseError("graph JSON must contain 'nodes' and 'edges'", None, name)
+    try:
+        return Graph.from_label_edges(
+            ((a, b, w) for a, b, w in doc["edges"]), nodes=doc["nodes"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad graph JSON: {exc}", None, name) from None
+
+
+DEFAULT_EXACT_LIMIT = 20
+
+
+def exact_densest(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DensestResult:
+    """Exhaustive maximum-density subset, for small graphs: the oracle the
+    greedy ``peel`` result is checked against.
+
+    Subset weights are built up by bitmask dynamic programming over all
+    2^n - 1 candidates.  Ties break toward the smallest lexicographic
+    node-index sequence.
+    """
+    n = g.n
+    if n == 0:
+        raise ValueError("cannot solve an empty graph")
+    if n > limit:
+        raise ValueError(f"graph has {n} nodes; exact solver is limited to {limit}")
+
+    nbrs = [list(g.neighbors(v)) for v in range(n)]
+    wts = [[g.weight(v, u) for u in nbrs[v]] for v in range(n)]
+
+    size = 1 << n
+    weight_of = [0.0] * size
+    best_density = 0.0
+    best_mask = 1  # singleton {0}: density 0, lexicographic minimum
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        add = 0.0
+        row = nbrs[low]
+        wrow = wts[low]
+        for i in range(len(row)):
+            if rest >> row[i] & 1:
+                add += wrow[i]
+        w = weight_of[rest] + add
+        weight_of[mask] = w
+        d = 2.0 * w / mask.bit_count()
+        if d > best_density:
+            best_density = d
+            best_mask = mask
+        elif d == best_density and _mask_key(mask) < _mask_key(best_mask):
+            best_mask = mask
+
+    nodes = frozenset(v for v in range(n) if best_mask >> v & 1)
+    return DensestResult(nodes, density(g, nodes), exact=True)
+
+
+def _mask_key(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)

@@ -14,12 +14,12 @@ import time
 import pytest
 
 from dualdense import (Connectivity, DcsOptions, GapWeightRule, Graph,
-                       brute_force_dcs, density, exact_densest, extract_dcs,
+                       brute_force_dcs, density, extract_dcs,
                        generate_planted, peel, verify_physical_connectivity)
 from dualdense.align import build_alignment_graph
 from dualdense.cli import main
-from helpers import (bfs_hops, check_peel_order, random_dual_network, random_graph,
-                     subset_density)
+from helpers import (bfs_hops, check_peel_order, exact_densest, random_dual_network,
+                     random_graph, subset_density)
 
 REL_TOL = 1e-9
 

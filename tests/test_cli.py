@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdense import DcsOptions, DualNetwork, extract_dcs, result_to_doc
 from dualdense.cli import main
@@ -243,6 +246,16 @@ class TestGenAndStats:
             f"error: background edge probability must lie in [0, 1], got {float(prob)}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("cap", [5e-324, sys.float_info.min])
+    def test_gen_rejects_underflowing_weight_cap(self, tmp_path, capsys, cap):
+        out_dir = tmp_path / "inst"
+        assert main(["gen", "--nodes", "10", "--planted-size", "2",
+                     "--background-weight-cap", repr(cap), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: background weight cap {cap!r} is too small:"
+            " weights drawn below it underflow to 0\n")
+        assert not out_dir.exists()
+
     def test_stats_reports_both_densities(self, tmp_path, capsys):
         graph = tmp_path / "g.tsv"
         graph.write_text("a b 1.0\nb c 1.0\na c 1.0\n")
@@ -312,3 +325,124 @@ def test_module_entry_point(toy_instance):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["conceptual_density"] == 2.0
+
+
+# CLI fuzzing: every subcommand with random flag values and short random
+# input files.  Labels come from a small set and three files in four are
+# well formed, so that many drawn instances reach the pipeline.
+def _mostly(good, bad):
+    """``good`` three times in four, else ``bad``."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+def _lines(line, min_size=0):
+    return st.lists(line, min_size=min_size, max_size=8).map("\n".join)
+
+
+LABEL = st.sampled_from("abcde")
+EDGE = st.lists(LABEL, min_size=2, max_size=2, unique=True).map(" ".join)
+NOISE_TEXT = _lines(st.one_of(
+    st.tuples(LABEL, LABEL, st.sampled_from(["0", "-1", "1e308", "nan", "x"])
+              | st.floats().map(repr)).map(" ".join),
+    st.tuples(LABEL, LABEL).map(" ".join),
+    st.text(max_size=12)))
+WEIGHTED_TEXT = _mostly(
+    _lines(st.tuples(EDGE, st.sampled_from(["1", "0.5", "2"]) | st.floats(1e-3, 1e3).map(repr))
+           .map(" ".join), min_size=1),
+    NOISE_TEXT)
+UNWEIGHTED_TEXT = _mostly(_lines(EDGE, min_size=1), NOISE_TEXT)
+DELTA = st.sampled_from(["0", "-3", "1", "2", "4", "1.5", "x", "inf"])
+# Float flags: any float, or the smallest subnormal or normal float, which
+# plain ``st.floats()`` draws only rarely.
+FLOAT = st.floats() | st.sampled_from([5e-324, sys.float_info.min])
+
+
+def _labels(text):
+    return sorted({label for line in text.splitlines() for label in line.split()[:2]})
+
+
+@st.composite
+def dual_files(draw):
+    """Conceptual, physical and correspondence texts; a well-formed
+    correspondence pairs labels that occur in the two edge lists."""
+    conceptual, physical = draw(WEIGHTED_TEXT), draw(UNWEIGHTED_TEXT)
+    c_labels, p_labels = _labels(conceptual), _labels(physical)
+    if not (c_labels and p_labels):
+        return conceptual, physical, draw(NOISE_TEXT)
+    pairs = st.lists(st.tuples(st.sampled_from(c_labels), st.sampled_from(p_labels)),
+                     min_size=1, unique_by=(lambda t: t[0], lambda t: t[1]))
+    text = pairs.map(lambda ps: "\n".join(" ".join(pair) for pair in ps))
+    return conceptual, physical, draw(_mostly(text, NOISE_TEXT))
+
+
+def _flag(name, values):
+    """Strategy for an optional ``--name=value`` argument (a list of zero
+    or one argv entries); the ``=`` form keeps values such as ``-inf``
+    from being read as options."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [f"--{name}"]])
+
+
+@st.composite
+def cli_argv(draw, command, paths):
+    """Argument vector for ``command``; ``paths`` name the three input
+    files, a missing file, an output file, a path under a missing directory
+    and a directory for ``gen``."""
+    inputs = st.sampled_from([paths["conceptual"], paths["physical"], paths["missing"]])
+    argv = [command]
+    if command in ("dcs", "align", "oracle"):
+        for name in ("conceptual", "physical", "correspondence"):
+            argv.append(f"--{name}={draw(_mostly(st.just(paths[name]), inputs))}")
+    if command in ("dcs", "align"):
+        argv += draw(_flag("delta", DELTA))
+        argv += draw(_flag("gap-mode", st.sampled_from(["conceptual", "per-hop"])))
+    if command == "dcs":
+        argv += draw(_flag("connectivity", st.sampled_from(["strict", "relaxed"])))
+        argv += draw(_switch("no-repair"))
+        argv += draw(_flag("format", st.sampled_from(["json", "dot"])))
+    elif command == "align":
+        argv += draw(_flag("format", st.sampled_from(["json", "dot", "graphml"])))
+    elif command == "oracle":
+        argv += draw(_flag("max-oracle-nodes", st.integers(-2, 8)))
+    elif command in ("peel", "stats"):
+        argv.append(f"--graph={draw(inputs)}")
+        argv += draw(_switch("unweighted"))
+    if command == "gen":
+        # At most 60 nodes keeps every instance small.
+        nodes = draw(_mostly(st.integers(10, 60), st.integers(-2, 9)))
+        size = _mostly(st.integers(2, max(nodes, 2)), st.integers(-2, 62))
+        argv += [f"--nodes={nodes}", f"--planted-size={draw(size)}",
+                 f"--out-dir={draw(st.sampled_from([paths['gen'], paths['conceptual']]))}"]
+        argv += draw(_flag("seed", st.integers()))
+        argv += draw(_flag("background-weight-cap", FLOAT.map(repr)))
+        argv += draw(_flag("background-edge-prob", FLOAT.map(repr)))
+    else:
+        argv += draw(_flag("output", st.sampled_from([paths["output"], paths["unwritable"]])))
+    # Now and then lose one argument (argparse then exits 2).
+    if draw(st.integers(0, 9)) == 9:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["dcs", "align", "peel", "oracle", "gen", "stats"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), files=dual_files())
+def test_exit_code_mapping_is_total(command, data, files):
+    """Any argv and any short input files end in a documented exit code
+    (argparse's own usage errors exit 2); no other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in
+                 ("conceptual", "physical", "correspondence", "missing", "output", "gen")}
+        paths["unwritable"] = os.path.join(tmp, "missing", "out")
+        for name, text in zip(("conceptual", "physical", "correspondence"), files):
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = data.draw(cli_argv(command, paths))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2, 3)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from dualdense import (DualNetwork, GapWeightRule, Graph, ParseError,
                        build_alignment_graph)
 from dualdense.formats import (canonical_json, export_dot, export_graph, export_graphml,
-                               export_json, graph_from_json, parse_checkins,
-                               load_correspondence, load_graph,
+                               export_json, load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list)
-from helpers import graphs_equal, random_dual_network, random_graph
+from helpers import graph_from_json, graphs_equal, random_dual_network, random_graph
 
 
 # Parser fuzzing: comment marks, quotes, NUL, digits, separators and the
@@ -140,37 +139,6 @@ def test_byte_order_mark_is_not_label_text(tmp_path):
     assert f1 == f0
 
 
-class TestParseCheckins:
-    def test_with_header(self):
-        recs = parse_checkins(io.StringIO("user,lat,lon\nu1,45.0,7.5\nu2,-10,20\n"))
-        assert [r.user for r in recs] == ["u1", "u2"]
-        assert recs[0].lat == 45.0
-
-    def test_without_header(self):
-        recs = parse_checkins(io.StringIO("u1,45.0,7.5\n"))
-        assert len(recs) == 1
-
-    def test_bad_latitude(self):
-        with pytest.raises(ParseError, match=r"\[-90, 90\]"):
-            parse_checkins(io.StringIO("u1,95.0,7.5\n"))
-
-    def test_bad_coordinates_cite_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_checkins(io.StringIO("u1,45.0,7.5\nu2,oops,7\n"))
-
-    def test_errors_cite_file_lines_after_multiline_field(self):
-        # The quoted user name spans lines 2-3, so eve's record is line 5
-        # of the file but only the fourth CSV record.
-        text = 'user,lat,lon\n"multi\nline",1,2\nbob,1,2\neve,x,3\n'
-        with pytest.raises(ParseError) as info:
-            parse_checkins(io.StringIO(text), name="c.csv")
-        assert str(info.value) == "c.csv:line 5: invalid coordinates 'x','3'"
-
-    def test_malformed_csv_is_parse_error(self):
-        with pytest.raises(ParseError, match="line 2: malformed CSV"):
-            parse_checkins(io.StringIO("u1,45.0,7.5\nu\r2,1,2\n"))
-
-
 class TestParserFuzz:
     """Arbitrary text yields a result or a ParseError, never another error
     (edge lists: ``TestParseEdgeList.test_totality_on_fuzz``)."""
@@ -183,17 +151,6 @@ class TestParserFuzz:
         except ParseError:
             return
         assert pairs == tuple(tuple(fields) for fields in data_lines(text))
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=FUZZ_TEXT)
-    def test_checkins(self, text):
-        try:
-            records = parse_checkins(io.StringIO(text))
-        except ParseError as exc:
-            assert exc.line_no is not None and 1 <= exc.line_no <= len(text.split("\n"))
-            return
-        for rec in records:
-            assert -90.0 <= rec.lat <= 90.0 and -180.0 <= rec.lon <= 180.0
 
 
 class TestJsonRoundTrip:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Graph, exact_densest, peel
-from helpers import brute_densest, check_peel_order, random_graph, subset_density
+from dualdense import Graph, peel
+from helpers import (brute_densest, check_peel_order, exact_densest, random_graph,
+                     subset_density)
 
 
 def clique_plus_pendant():

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 
@@ -52,6 +54,17 @@ class TestGeneratePlanted:
             generate_planted(5, 6, seed=0)
         with pytest.raises(ConfigError):
             generate_planted(5, 1, seed=0)
+
+    @pytest.mark.parametrize("cap", [5e-324, sys.float_info.min])
+    def test_underflowing_weight_cap_rejected(self, cap):
+        with pytest.raises(ConfigError, match="underflow"):
+            generate_planted(10, 2, seed=0, background_weight_cap=cap)
+
+    def test_smallest_usable_weight_cap(self):
+        cap = math.nextafter(sys.float_info.min, 1.0)
+        inst = generate_planted(10, 2, seed=0, background_weight_cap=cap)
+        weights = [w for _, _, w in inst.dual.conceptual.edges() if w != 1.0]
+        assert weights and all(0.0 < w <= cap for w in weights)
 
     def test_oracle_recovers_planted(self):
         inst = generate_planted(30, 6, seed=42)
