@@ -72,15 +72,13 @@ def cmd_dcs(args) -> int:
     result = extract_dcs(dn, opts)
     if args.format == "json":
         _emit(formats.canonical_json(result_to_doc(result, dn, opts)), args.output)
-    elif args.format == "dot":
+    else:
         final = result.all_nodes
         c_hl = {dn.conceptual.labels[i] for i in dn.conceptual_nodes(final)}
         p_hl = {dn.physical.labels[i] for i in dn.physical_nodes(final)}
         text = (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
                 + formats.export_dot(dn.physical, name="physical", highlight=p_hl))
         _emit(text, args.output)
-    else:
-        raise ConfigError(f"dcs supports json or dot output, not {args.format!r}")
     return EXIT_OK
 
 
@@ -115,7 +113,7 @@ def cmd_oracle(args) -> int:
     dn = _load_dual(args)
     result = brute_force_dcs(dn, max_nodes=args.max_oracle_nodes)
     doc = {
-        "nodes": sorted([list(dn.pair_labels(k)) for k in result.nodes]),
+        "nodes": sorted([list(dn.pairs[k]) for k in result.nodes]),
         "node_count": len(result.nodes),
         "conceptual_density": result.density,
         "explored": result.explored,
@@ -147,7 +145,7 @@ def cmd_gen(args) -> int:
         "seed": inst.seed,
         "nodes": args.nodes,
         "planted_size": args.planted_size,
-        "planted": sorted(dn.pair_labels(k)[0] for k in inst.planted),
+        "planted": sorted(dn.pairs[k][0] for k in inst.planted),
         "background_weight_cap": args.background_weight_cap,
         "background_edge_prob": args.background_edge_prob,
     }

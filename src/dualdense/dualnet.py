@@ -69,9 +69,6 @@ class DualNetwork:
     def pair_count(self) -> int:
         return len(self.pairs)
 
-    def pair_labels(self, k: int) -> tuple[str, str]:
-        return self.pairs[k]
-
     def conceptual_nodes(self, members: Iterable[int]) -> set[int]:
         return {self.pair_conceptual[k] for k in self._check(members)}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Collection, Container, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
 LabelEdge = tuple[str, str, float]
@@ -178,54 +178,59 @@ def density(g: Graph, members: Iterable[int]) -> float:
     return total / len(S)
 
 
-def bfs(g: Graph, sources: Iterable[int], cap: float = math.inf,
-        within: Optional[Container[int]] = None,
-        targets: Optional[Collection[int]] = None,
-        need: Optional[int] = None) -> tuple[dict[int, int], list[tuple[int, int]]]:
-    """Multi-source breadth-first search over hop counts, ignoring weights.
+def reach(g: Graph, sources: Iterable[int], cap: float = math.inf,
+          within: Optional[Collection[int]] = None) -> set[int]:
+    """Nodes at most ``cap`` hops from the sources, sources included.
 
-    Sources sit at depth 0; layers are expanded in discovery order over
-    sorted adjacency, and nodes deeper than ``cap`` are never discovered.
-    ``within`` restricts the search to an induced subgraph (sources are
-    taken as given).  Every discovered node, sources included, that lies in
-    ``targets`` is reported as a ``(node, depth)`` hit, and the search stops
-    as soon as ``need`` hits (default: all targets) are found.
+    Grows one ball a whole layer at a time, each layer one C-level set
+    union over the previous layer's adjacency lists.  ``within`` restricts
+    the search to an induced subgraph (sources are taken as given).
+    """
+    nbrs = g._nbrs
+    ball = set(sources)
+    layer, depth = ball, 0
+    while layer and depth < cap:
+        layer = set().union(*[nbrs[x] for x in layer]) - ball
+        if within is not None:
+            layer.intersection_update(within)
+        ball |= layer
+        depth += 1
+    return ball
 
-    Returns the parent map in discovery order (sources map to -1) and the
-    hits in discovery order.  Sorted sources and sorted adjacency make both
-    deterministic: each node's parent is its earliest-discovered neighbor
-    in the previous layer.
+
+def nearest(g: Graph, sources: Iterable[int],
+            targets: Collection[int]) -> Optional[list[int]]:
+    """Shortest path from a source to the first target reached, or None
+    when no target is reachable.
+
+    Breadth-first search over sorted adjacency, recording each node's
+    parent: its earliest-discovered neighbor one layer up.  With sources
+    in ascending order, discovery order within a layer is the
+    lexicographic order of the nodes' least shortest paths, so the path
+    returned is the lexicographically least shortest source-target path.
     """
     parent = dict.fromkeys(sources, -1)
-    hits: list[tuple[int, int]] = []
-    if targets is not None:
-        if need is None:
-            need = len(targets)
-        if need <= 0:
-            return parent, hits
-        for s in parent:
-            if s in targets:
-                hits.append((s, 0))
-                if len(hits) == need:
-                    return parent, hits
+    for s in parent:
+        if s in targets:
+            return [s]
     nbrs = g._nbrs
     frontier = list(parent)
-    depth = 0
-    while frontier and depth < cap:
-        depth += 1
+    while frontier:
         layer: list[int] = []
         for x in frontier:
             for y in nbrs[x]:
-                if y in parent or (within is not None and y not in within):
+                if y in parent:
                     continue
                 parent[y] = x
+                if y in targets:
+                    path = [y]
+                    while x != -1:
+                        path.append(x)
+                        x = parent[x]
+                    return path[::-1]
                 layer.append(y)
-                if targets is not None and y in targets:
-                    hits.append((y, depth))
-                    if len(hits) == need:
-                        return parent, hits
         frontier = layer
-    return parent, hits
+    return None
 
 
 def hop_distance(g: Graph, s: int, t: int, cap: float = math.inf) -> Optional[int]:
@@ -237,8 +242,8 @@ def hop_distance(g: Graph, s: int, t: int, cap: float = math.inf) -> Optional[in
     with the smaller layer grows by one, in one C-level set union over the
     layer's adjacency lists.  The balls stay disjoint until the distance is
     found, so the first new layer that meets the other ball gives it; a
-    side whose new layer is empty has exhausted its component.  Unlike
-    ``bfs`` this builds no parent map: it answers one point-to-point query.
+    side whose new layer is empty has exhausted its component.  It answers
+    one point-to-point query and keeps no parent map.
     """
     if s == t:
         return 0
@@ -260,15 +265,6 @@ def hop_distance(g: Graph, s: int, t: int, cap: float = math.inf) -> Optional[in
     return None
 
 
-def path_to(parent: dict[int, int], v: int) -> list[int]:
-    """Source-to-v path read off a ``bfs`` parent map."""
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:
     """Partition of the member set into maximal mutually reachable blocks
     within the induced subgraph, ordered by smallest contained index."""
@@ -278,13 +274,13 @@ def connected_components(g: Graph, members: Iterable[int] | None = None) -> list
     for start in sorted(S):
         if start in seen:
             continue
-        comp = sorted(bfs(g, (start,), within=S)[0])
-        seen.update(comp)
-        components.append(comp)
+        comp = reach(g, (start,), within=S)
+        seen |= comp
+        components.append(sorted(comp))
     return components
 
 
 def is_connected(g: Graph, members: Iterable[int]) -> bool:
     """True for empty sets, singletons, and internally connected sets."""
-    return len(connected_components(g, members)) <= 1
-
+    S = _check_members(g, members)
+    return len(S) <= 1 or len(reach(g, (min(S),), within=S)) == len(S)

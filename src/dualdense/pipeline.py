@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .align import AlignmentGraph, GapWeightRule, build_alignment_graph
+from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import bfs, connected_components, density, is_connected, path_to
+from .graph import connected_components, density, is_connected, nearest, reach
 from .peel import PeelTrace, peel
 
 
@@ -67,12 +67,14 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     """STRICT: the induced physical subgraph on the members is connected
     (``delta`` is ignored).  RELAXED: members are connected in the auxiliary
     graph that joins two members whenever their hop distance in the full
-    physical graph is at most delta.  Empty sets and singletons are
-    vacuously connected.  ``extract_dcs`` needs only the STRICT check (its
-    RELAXED selections are connected by construction); RELAXED checks
-    arbitrary member sets."""
+    physical graph is at most delta, which must be a positive integer or
+    infinity.  Empty sets and singletons are vacuously connected.
+    ``extract_dcs`` needs only the STRICT check (its RELAXED selections are
+    connected by construction); RELAXED checks arbitrary member sets."""
     if not isinstance(mode, Connectivity):
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
+    if mode is Connectivity.RELAXED:
+        delta = check_delta(delta)
     S = dn._check(members)
     if len(S) <= 1:
         return True
@@ -80,14 +82,13 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     if mode is Connectivity.STRICT:
         return is_connected(dn.physical, phys)
 
-    # Breadth-first search of the auxiliary graph, one layer per call: the
+    # Breadth-first search of the auxiliary graph, one layer per ball: the
     # members within delta hops of the previous layer form the next one.
     remaining = set(phys)
-    layer = [remaining.pop()]
+    layer = {remaining.pop()}
     while layer and remaining:
-        hits = bfs(dn.physical, layer, delta, targets=remaining)[1]
-        layer = [p for p, _ in hits]
-        remaining.difference_update(layer)
+        layer = reach(dn.physical, layer, delta) & remaining
+        remaining -= layer
     return not remaining
 
 
@@ -95,30 +96,28 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
     """Connector pairs that stitch the members into one physically connected
     set.
 
-    Components of the induced physical subgraph are joined iteratively,
-    closest pair of components first, along a shortest path through
-    correspondence-covered physical nodes (connectors must belong to the
-    dual universe so their conceptual density is defined).  Each round runs
-    one multi-source BFS per component, stopping at the first member of
-    another component; sorted seeds and sorted adjacency make the chosen
-    path deterministic, and ties go to the smallest path.  Returns only the
-    added pairs; raises IrreparableDisconnection when some components cannot
-    be joined through covered nodes.
+    Components of the induced physical subgraph are joined one round at a
+    time, through correspondence-covered physical nodes only (connectors
+    must belong to the dual universe so their conceptual density is
+    defined).  Each round adds the interior of the lexicographically least
+    shortest path, in pair ids, that joins two components: shortest first,
+    then the least node sequence.  Returns only the added pairs; raises
+    IrreparableDisconnection when some components cannot be joined through
+    covered nodes.
     """
     S = dn._check(members)
     g = dn.pair_graph
     current = set(S)
     comps = connected_components(g, current)
     while len(comps) > 1:
-        joins: list[tuple[int, list[int]]] = []
-        for comp in comps:
-            parent, hits = bfs(g, comp, targets=current.difference(comp), need=1)
-            joins += [(depth, path_to(parent, target)) for target, depth in hits]
+        # A component's nearest other member ends its least shortest path.
+        joins = [path for comp in comps
+                 if (path := nearest(g, comp, current.difference(comp))) is not None]
         if not joins:
             raise IrreparableDisconnection(
                 "selected components cannot be joined through "
                 "correspondence-covered physical nodes")
-        current.update(min(joins)[1])
+        current.update(min(joins, key=lambda path: (len(path), path)))
         comps = connected_components(g, current)
     return frozenset(current - S)
 
@@ -173,7 +172,7 @@ def result_to_doc(result: DcsResult, dn: DualNetwork, opts: DcsOptions) -> dict:
     """JSON-ready document for a pipeline result; the CLI emits exactly
     this, so library and CLI serializations cannot diverge."""
     def pairs_doc(members: Iterable[int]) -> list[list[str]]:
-        return sorted([list(dn.pair_labels(k)) for k in members])
+        return sorted([list(dn.pairs[k]) for k in members])
 
     return {
         "delta": "inf" if opts.delta == math.inf else opts.delta,

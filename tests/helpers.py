@@ -10,7 +10,8 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dualdense import DensestResult, DualNetwork, Graph, ParseError, density
+from dualdense import (DensestResult, DualNetwork, Graph, IrreparableDisconnection, ParseError,
+                       density)
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = True) -> Graph:
@@ -186,6 +187,72 @@ def bfs_hops(g: Graph, src: int, dst: int) -> int | None:
                     return dist[y]
                 queue.append(y)
     return None
+
+
+def least_shortest_path(g: Graph, sources, targets) -> list[int] | None:
+    """Lexicographically least among the shortest source-to-target paths,
+    or None, from ``bfs_hops`` distances to the nearest target: the least
+    source at the shortest distance, then each time the least neighbor one
+    hop closer (every such choice still ends at a target in time)."""
+    memo: dict[int, int | None] = {}
+
+    def to_targets(v: int) -> int | None:
+        if v not in memo:
+            memo[v] = min((d for t in targets if (d := bfs_hops(g, v, t)) is not None),
+                          default=None)
+        return memo[v]
+
+    length = min((d for s in sources if (d := to_targets(s)) is not None), default=None)
+    if length is None:
+        return None
+    path = [min(s for s in sources if to_targets(s) == length)]
+    while len(path) <= length:
+        path.append(min(v for v in g.neighbors(path[-1]) if to_targets(v) == length - len(path)))
+    return path
+
+
+def reference_repair(dn: DualNetwork, members) -> frozenset[int]:
+    """Connector pairs of ``repair_connectivity``, rebuilt round by round
+    from its stated rule: among all paths through covered physical nodes
+    outside the current set that join members of two components, add the
+    interior of the shortest, least by pair-id sequence.  Paths are
+    enumerated whole, by increasing length; a path is dropped only when a
+    strictly shorter one from the same component reached its end."""
+    pair_of = {p: k for k, p in enumerate(dn.pair_physical)}
+    adj = {k: sorted(pair_of[q] for q in dn.physical.neighbors(p) if q in pair_of)
+           for k, p in enumerate(dn.pair_physical)}
+    start = set(members)
+    current = set(start)
+    while True:
+        comp_of: dict[int, int] = {}
+        for s in current:
+            if s in comp_of:
+                continue
+            comp_of[s] = s
+            stack = [s]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v in current and v not in comp_of:
+                        comp_of[v] = s
+                        stack.append(v)
+        if len(set(comp_of.values())) <= 1:
+            return frozenset(current - start)
+        paths = [[s] for s in current]
+        first = {(comp_of[s], s): 0 for s in current}
+        joins: list[list[int]] = []
+        while paths and not joins:
+            longer = []
+            for path in paths:
+                for v in adj[path[-1]]:
+                    if v not in current:
+                        if first.setdefault((comp_of[path[0]], v), len(path)) == len(path):
+                            longer.append(path + [v])
+                    elif comp_of[v] != comp_of[path[0]]:
+                        joins.append(path + [v])
+            paths = longer
+        if not joins:
+            raise IrreparableDisconnection("no path joins two components")
+        current.update(min(joins))
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:

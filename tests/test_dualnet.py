@@ -82,7 +82,7 @@ class TestDualNetwork:
         c, p = small_pair()
         dn = DualNetwork(c, p, (("w2", "v1"), ("w1", "v3")))
         assert dn.pair_count == 2
-        assert dn.pair_labels(0) == ("w2", "v1")
+        assert dn.pairs[0] == ("w2", "v1")
         assert dn.pair_of_conceptual[c.index_of("w1")] == 1
         assert dn.pair_graph.labels == ("v1", "v3")
 

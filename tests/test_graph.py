@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density
-from dualdense.graph import bfs, hop_distance, path_to
-from helpers import bfs_hops, graphs_equal, random_graph, subset_density
+from dualdense.graph import hop_distance, nearest, reach
+from helpers import (bfs_hops, graphs_equal, least_shortest_path, random_graph,
+                     subset_density)
 
 
 def triangle(w=1.0):
@@ -82,13 +83,14 @@ class TestDensity:
 
 
 def shortest_path_hops(g, u, v, cap=math.inf):
-    """Hop distance and one shortest u-v path read off ``bfs``, or None."""
-    parent, hits = bfs(g, (u,), cap, targets={v})
-    return (hits[0][1], path_to(parent, v)) if hits else None
+    """Hop distance and one shortest u-v path from ``nearest``, or None when
+    v is unreachable or more than ``cap`` hops away."""
+    path = nearest(g, (u,), {v})
+    return (len(path) - 1, path) if path is not None and len(path) - 1 <= cap else None
 
 
 class TestShortestPathHops:
-    """Shortest hop paths from ``bfs`` and ``path_to``."""
+    """Single-source, single-target paths from ``nearest``."""
 
     def test_adjacent(self):
         g = triangle()
@@ -157,54 +159,28 @@ def reference_depths(g, sources, cap, within=None):
 
 @settings(max_examples=80, deadline=None)
 @given(g=graphs_strategy, seed=st.integers(0, 10_000), cap=caps)
-def test_bfs_matches_reference(g, seed, cap):
+def test_reach_matches_reference(g, seed, cap):
     rng = random.Random(seed)
-    sources = sorted(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
-    within = None
-    if rng.random() < 0.5:
-        within = set(sources) | set(rng.sample(range(g.n), rng.randint(0, g.n)))
-    targets = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-    expected = reference_depths(g, sources, cap, within)
-
-    parent, hits = bfs(g, sources, cap, within=within)
-    assert set(parent) == set(expected) and hits == []
-    # Discovery runs layer by layer, and each parent sits one layer up.
-    depths = [expected[v] for v in parent]
-    assert depths == sorted(depths)
-    for v, p in parent.items():
-        if p == -1:
-            assert v in sources
-        else:
-            assert g.has_edge(p, v) and expected[p] == expected[v] - 1
-
-    # Targets are reported in discovery order with their depths; the search
-    # stops at the need-th hit (default: all targets), a prefix of the full one.
-    order = list(parent)
-    want = [(v, expected[v]) for v in order if v in targets]
-    for need in (None, rng.randint(1, len(targets) or 1)):
-        got_parent, got = bfs(g, sources, cap, within=within, targets=targets, need=need)
-        assert got == want[:need]
-        assert list(got_parent) == order[:len(got_parent)]
-        if got and got[-1][1] > 0 and len(got) == (need or len(targets)):
-            # The search stopped at its last hit, even mid-layer.
-            assert order[len(got_parent) - 1] == got[-1][0]
+    sources = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
+    for within in (None, set(sources) | set(rng.sample(range(g.n), rng.randint(0, g.n)))):
+        assert reach(g, sources, cap, within) == set(reference_depths(g, sources, cap, within))
 
 
 @settings(max_examples=80, deadline=None)
-@given(g=graphs_strategy, seed=st.integers(0, 10_000), cap=caps)
-def test_bfs_path_valid(g, seed, cap):
+@given(g=graphs_strategy, seed=st.integers(0, 10_000))
+def test_nearest_is_least_shortest_path(g, seed):
+    # Several sources (in ascending order, as repair passes a component) and
+    # targets; an empty target set and sources among the targets included.
     rng = random.Random(seed)
-    u, v = rng.randrange(g.n), rng.randrange(g.n)
-    d = bfs_hops(g, u, v)
-    hit = shortest_path_hops(g, u, v, cap)
-    if d is None or d > cap:
-        assert hit is None
-        return
-    dist, path = hit
-    assert dist == d
-    assert len(path) == d + 1 and path[0] == u and path[-1] == v
-    for a, b in zip(path, path[1:]):
-        assert g.has_edge(a, b)
+    sources = sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
+    targets = set(rng.sample(range(g.n), rng.randint(0, min(4, g.n))))
+    if rng.random() < 0.7:
+        targets -= set(sources)
+    path = nearest(g, sources, targets)
+    assert path == least_shortest_path(g, sources, targets)
+    if path is not None:
+        assert path[0] in sources and path[-1] in targets
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 def forest_graph(rng):

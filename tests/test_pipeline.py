@@ -13,7 +13,7 @@ from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
 from helpers import (brute_dcs, physically_connected, random_dual_network, random_graph,
-                     relaxed_connected)
+                     reference_repair, relaxed_connected)
 
 
 def identity_dual(conc_edges, phys_edges, labels):
@@ -136,6 +136,13 @@ class TestVerifyPhysicalConnectivity:
         assert verify_physical_connectivity(dn, {3}, Connectivity.STRICT)
         assert verify_physical_connectivity(dn, {3}, Connectivity.RELAXED, delta=1)
 
+    @pytest.mark.parametrize("delta", [0, -2, True, 1.5, "3"])
+    def test_relaxed_rejects_bad_delta(self, delta):
+        # The same values build_alignment_graph rejects.
+        dn = triangle_with_tail()
+        with pytest.raises(ConfigError, match="delta"):
+            verify_physical_connectivity(dn, {0, 2}, Connectivity.RELAXED, delta)
+
 
 def partially_covered_dual(rng, n, p_phys_max, p_conc):
     """Random dual network whose correspondence covers a random subset of
@@ -200,6 +207,29 @@ class TestRepairConnectivity:
         connectors = repair_connectivity(dn, {0, 3, 6})
         assert connectors == frozenset({1, 2, 4, 5})
         assert physically_connected(dn, {0, 3, 6} | connectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(4, 40))
+def test_repair_matches_reference(seed, n):
+    # About 85% of the nodes are covered, in shuffled pair order, so the
+    # least path by pair ids is not the least by physical index.  About 40%
+    # of the instances need connectors, and as many cannot be repaired.
+    rng = random.Random(seed)
+    physical = random_graph(rng, n, rng.uniform(1.5, 5.0) / n, weighted=False)
+    conceptual = random_graph(rng, n, 0.3)
+    covered = [i for i in range(n) if rng.random() < 0.85] or [0]
+    rng.shuffle(covered)
+    dn = DualNetwork(conceptual, physical,
+                     [(conceptual.labels[i], physical.labels[i]) for i in covered])
+    members = [k for k in range(dn.pair_count) if rng.random() < 0.4]
+    try:
+        expected = reference_repair(dn, members)
+    except IrreparableDisconnection:
+        with pytest.raises(IrreparableDisconnection):
+            repair_connectivity(dn, members)
+    else:
+        assert repair_connectivity(dn, members) == expected
 
 
 @settings(max_examples=30, deadline=None)
