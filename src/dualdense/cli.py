@@ -184,10 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--correspondence", required=True,
                        help="one 'conceptual physical' pair per line")
 
-    def add_common(p, formats_choices=("json",)):
+    def add_output(p):
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        if formats_choices:
-            p.add_argument("--format", default="json", choices=formats_choices)
 
     def add_align_opts(p):
         p.add_argument("--delta", default="4",
@@ -200,26 +198,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectivity", default="strict", choices=["strict", "relaxed"])
     p.add_argument("--no-repair", action="store_true",
                    help="report disconnection instead of adding connector nodes")
-    add_common(p, ("json", "dot"))
+    p.add_argument("--format", default="json", choices=["json", "dot"])
+    add_output(p)
     p.set_defaults(func=cmd_dcs)
 
     p = sub.add_parser("align", help="build and export the alignment graph")
     add_dual_inputs(p)
     add_align_opts(p)
-    add_common(p, ("json", "dot", "graphml"))
+    p.add_argument("--format", default="json", choices=["json", "dot", "graphml"])
+    add_output(p)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("peel", help="densest subgraph of a single weighted graph")
     p.add_argument("--graph", required=True, help="edge list path")
     p.add_argument("--unweighted", action="store_true")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_peel)
 
     p = sub.add_parser("oracle", help="exact brute-force result (small instances)")
     add_dual_inputs(p)
     p.add_argument("--max-oracle-nodes", type=int, default=None,
                    help="largest subset size the enumeration scores")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a planted dual-network instance")
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="graph metrics, including both density diagnostics")
     p.add_argument("--graph", required=True, help="edge list path")
     p.add_argument("--unweighted", action="store_true")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_stats)
 
     return parser

@@ -78,17 +78,13 @@ class Graph:
         self.duplicates_collapsed = duplicates
 
     @classmethod
-    def from_label_edges(cls, edges: Iterable[LabelEdge],
-                         nodes: Iterable[str] = ()) -> "Graph":
+    def from_label_edges(cls, edges: Iterable[LabelEdge]) -> "Graph":
         """Build a graph from ``(src_label, dst_label, weight)`` triples.
 
-        Labels are interned to dense indices in first-appearance order;
-        ``nodes`` seeds extra (possibly isolated) labels ahead of the edges.
+        Labels are interned to dense indices in first-appearance order.
         """
         index: dict[str, int] = {}
         intern = index.setdefault
-        for lab in nodes:
-            intern(lab, len(index))
         # Arguments are evaluated left to right, so len(index) is the next
         # free index whenever the label is new.
         index_edges = [(intern(a, len(index)), intern(b, len(index)), w)

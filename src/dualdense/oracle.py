@@ -1,9 +1,9 @@
 """Ground-truth densest connected subgraph by exhaustive enumeration.
 
 Connected subsets of the covered physical graph are enumerated exactly once
-each (anchor ordering plus exclusive-neighborhood expansion), scored by
-conceptual density, and the maximum returned.  Exponential by nature; the
-instance-size cap exists so nobody points this at a case-study network.
+each by ESU (Wernicke, "Efficient detection of network motifs", 2006),
+scored by conceptual density, and the densest returned.  Exponential by
+nature; the size cap exists so nobody points this at a case-study network.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
                     node_cap: int = DEFAULT_NODE_CAP) -> OracleResult:
     """Exact densest physically-connected subset of covered pairs.
 
-    Every connected subset of size up to ``max_nodes`` is scored exactly
-    once; ``explored`` counts them (singletons included).  Subsets of size
-    at least 2 compete on conceptual density, ties broken by smaller size
-    then lexicographic pair-id order; a singleton is returned only when the
-    covered physical graph has no edges at all.  Instances with more than
+    ESU grows each connected subset from its least pair id, the anchor,
+    adding only larger ids from the subset's exclusive neighbourhood, so
+    every connected subset of at most ``max_nodes`` pairs is visited once;
+    ``explored`` counts the visits, singletons included.  Subsets of two or
+    more pairs are ranked by conceptual density, then fewer pairs, then the
+    least sorted pair ids.  (``extract_dcs`` breaks density ties the other
+    way, toward more pairs.)  A singleton is returned only when the covered
+    physical graph has no edges at all.  Instances with more than
     ``node_cap`` covered pairs are refused.
     """
     n = dn.pair_count
@@ -56,65 +59,32 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
             cw[(ki, kj) if ki < kj else (kj, ki)] = w
 
     explored = 0
-    best_density = -1.0
-    best_size = 0
-    best_tuple: tuple[int, ...] = ()
+    best: tuple[float, int, tuple[int, ...]] = (-1.0, 0, ())
 
-    sub: list[int] = []
-    sub_weight = [0.0]
-    in_closed: set[int] = set()
-
-    def consider() -> None:
-        nonlocal explored, best_density, best_size, best_tuple
+    def extend(sub: list[int], weight: float, ext: list[int], closed: set[int]) -> None:
+        # Score ``sub``, then grow it by each node of ``ext`` in turn.  The
+        # grown subset may add the later ``ext`` nodes and the new node's
+        # neighbours above the anchor ``sub[0]`` and outside ``closed`` (N[sub]).
+        nonlocal explored, best
         explored += 1
         size = len(sub)
-        if size < 2:
+        if size >= 2 and 2.0 * weight / size >= best[0]:
+            best = max(best, (2.0 * weight / size, -size, tuple(-k for k in sorted(sub))))
+        if size == max_nodes:
             return
-        d = 2.0 * sub_weight[0] / size
-        if d > best_density:
-            best_density, best_size, best_tuple = d, size, tuple(sorted(sub))
-        elif d == best_density:
-            if size < best_size:
-                best_size, best_tuple = size, tuple(sorted(sub))
-            elif size == best_size:
-                cand = tuple(sorted(sub))
-                if cand < best_tuple:
-                    best_tuple = cand
-
-    def extend(ext: list[int], anchor: int) -> None:
-        consider()
-        if len(sub) == max_nodes:
-            return
-        for i in range(len(ext)):
-            w = ext[i]
-            fresh = [u for u in adj(w) if u > anchor and u not in in_closed]
-            added = [u for u in adj(w) if u not in in_closed]
-            in_closed.update(added)
-            dw = 0.0
-            for s in sub:
-                key = (s, w) if s < w else (w, s)
-                got = cw.get(key)
-                if got is not None:
-                    dw += got
-            sub.append(w)
-            sub_weight[0] += dw
-            extend(ext[i + 1:] + fresh, anchor)
-            sub_weight[0] -= dw
-            sub.pop()
-            in_closed.difference_update(added)
+        anchor = sub[0]
+        for i, w in enumerate(ext):
+            nbrs = adj(w)
+            extend(sub + [w],
+                   weight + sum([cw.get((s, w) if s < w else (w, s), 0.0) for s in sub]),
+                   ext[i + 1:] + [u for u in nbrs if u > anchor and u not in closed],
+                   closed.union(nbrs))
 
     for anchor in range(n):
-        sub.append(anchor)
-        in_closed.update(adj(anchor))
-        in_closed.add(anchor)
-        extend([u for u in adj(anchor) if u > anchor], anchor)
-        in_closed.clear()
-        sub.pop()
+        nbrs = adj(anchor)
+        extend([anchor], 0.0, [u for u in nbrs if u > anchor], {anchor, *nbrs})
 
-    if not best_tuple:
-        # No physical edge among covered pairs: fall back to the smallest
-        # singleton, mirroring the pipeline's degenerate behavior.
-        best_tuple = (0,)
-
-    nodes = frozenset(best_tuple)
+    # No physical edge among covered pairs: fall back to the smallest
+    # singleton, mirroring the pipeline's degenerate behavior.
+    nodes = frozenset(-k for k in best[2]) or frozenset((0,))
     return OracleResult(nodes, density(dn.conceptual, dn.conceptual_nodes(nodes)), explored)

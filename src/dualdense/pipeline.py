@@ -145,7 +145,8 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
     selected = frozenset(-k for k in negated_ids)
     # A RELAXED selection is connected by construction: it is one
     # alignment-graph component, and every alignment edge joins pairs at
-    # most delta physical hops apart, which is an auxiliary-graph edge.
+    # most delta physical hops apart, which is an auxiliary-graph edge.  So
+    # only a STRICT selection can need repair.
     result = DcsResult(
         nodes=selected, connector_nodes=frozenset(),
         conceptual_density=core_density, core_density=core_density,
@@ -155,8 +156,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
         trace=trace, alignment=ag,
         warnings=["best component is a single node (density 0)"] if size == 1 else [])
 
-    if (not result.physically_connected and opts.repair
-            and opts.connectivity is Connectivity.STRICT):
+    if not result.physically_connected and opts.repair:
         try:
             result.connector_nodes = repair_connectivity(dn, selected)
         except IrreparableDisconnection as exc:

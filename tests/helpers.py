@@ -271,8 +271,13 @@ def graph_from_json(text: str, name: str | None = None) -> Graph:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ParseError("graph JSON must contain 'nodes' and 'edges'", None, name)
     try:
-        return Graph.from_label_edges(
-            ((a, b, w) for a, b, w in doc["edges"]), nodes=doc["nodes"])
+        # Listed nodes first, so isolated labels keep their place.
+        index: dict[str, int] = {}
+        for lab in doc["nodes"]:
+            index.setdefault(lab, len(index))
+        edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)), w)
+                 for a, b, w in doc["edges"]]
+        return Graph(list(index), edges)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}", None, name) from None
 

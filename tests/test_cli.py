@@ -316,6 +316,17 @@ def test_non_utf8_input_exit_2(toy_instance, tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+@pytest.mark.parametrize("command", ["peel", "oracle", "stats"])
+def test_json_only_commands_have_no_format_flag(toy_instance, capsys, command):
+    args = dual_args(toy_instance) if command == "oracle" else ["--graph", toy_instance["conceptual"]]
+    assert main([command, *args]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_module_entry_point(toy_instance):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

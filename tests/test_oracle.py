@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from dualdense import (ConfigError, Connectivity, DcsOptions,
                        DualNetwork, Graph, brute_force_dcs, extract_dcs,
                        verify_physical_connectivity)
-from helpers import brute_dcs, random_dual_network
+from helpers import brute_dcs, physically_connected, random_dual_network
 
 
 def identity_dual(conc_edges, phys_edges, labels):
@@ -38,6 +39,14 @@ class TestBruteForceDcs:
         result = brute_force_dcs(dn)
         assert result.nodes == frozenset({0, 1, 2, 3})
         assert result.density == 3.0
+
+    def test_ties_prefer_fewer_pairs_then_least_ids(self):
+        # {0, 1}, {0, 1, 2} and {3, 4} all have density 1.5.
+        dn = identity_dual([(0, 1, 1.5), (1, 2, 0.75), (3, 4, 1.5)],
+                           [(0, 1), (1, 2), (3, 4)], list("abcde"))
+        result = brute_force_dcs(dn)
+        assert result.nodes == frozenset({0, 1})
+        assert result.density == 1.5
 
     def test_cap_refused(self):
         labels = [f"n{i}" for i in range(26)]
@@ -107,11 +116,30 @@ def test_enumeration_complete_on_trees(seed, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
-def test_matches_powerset_enumeration(seed, n):
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 10),
+       max_nodes=st.sampled_from([None, 1, 2, 3]))
+def test_explored_counts_connected_subsets(seed, n, max_nodes):
+    """Every connected subset of at most max_nodes pairs, singletons
+    included, is explored exactly once, on random physical graphs with
+    cycles."""
+    rng = random.Random(seed)
+    labels = [f"u{i}" for i in range(n)]
+    phys = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    dn = identity_dual([(u, v, 1.0 - rng.random()) for u, v in phys], phys, labels)
+    largest = n if max_nodes is None else max_nodes
+    expect = sum(1 for size in range(1, largest + 1)
+                 for combo in combinations(range(n), size)
+                 if physically_connected(dn, combo))
+    assert brute_force_dcs(dn, max_nodes=max_nodes).explored == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+       max_nodes=st.sampled_from([None, 2, 3]))
+def test_matches_powerset_enumeration(seed, n, max_nodes):
     dn = random_dual_network(random.Random(seed), n)
-    expect_density, expect_nodes = brute_dcs(dn)
-    result = brute_force_dcs(dn)
+    expect_density, expect_nodes = brute_dcs(dn, max_size=max_nodes)
+    result = brute_force_dcs(dn, max_nodes=max_nodes)
     assert result.density == pytest.approx(expect_density, rel=1e-9, abs=1e-12)
     assert result.nodes == expect_nodes
 
