@@ -6,10 +6,11 @@ of composite nodes: physical adjacency yields a Match edge carrying the
 conceptual weight; a physical hop distance d with 2 <= d <= delta yields a
 Gap(d) edge weighted by the selected gap rule; anything farther yields no
 edge.  delta = infinity turns the distance test into same-component
-reachability.  Each gap distance is one capped bidirectional search
-(``graph.hop_distance``) between the candidate's two physical nodes, so
-the work per candidate grows with the balls of radius about delta/2 around
-its endpoints rather than with one ball of radius delta.
+reachability.  Gap distances come from capped bidirectional searches
+(``graph.distances_from``): the candidates of one conceptual node share its
+physical node's side of the search, and each grows only its own side from
+scratch, so the work per candidate grows with the balls of radius about
+delta/2 around its endpoints rather than with one ball of radius delta.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import Graph, hop_distance
+from .graph import Graph, distances_from
 
 MATCH = "match"
 GAP = "gap"
@@ -101,10 +102,12 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     whose endpoints are both covered by the correspondence (every alignment
     edge requires conceptual adjacency, so scanning all composite-node
     pairs is never needed).  A physically adjacent candidate is a match
-    edge; any other, when delta >= 2, gets its hop distance from one
-    ``hop_distance`` call capped at delta and becomes a gap edge if that
-    distance exists.  Nothing is cached between candidates, so memory stays
-    that of the two graphs plus one search.
+    edge; any other, when delta >= 2, gets its hop distance capped at delta
+    and becomes a gap edge if that distance exists.  The scan yields each
+    conceptual node's candidates together, so one ``distances_from``
+    searcher per source physical node answers them all, keeping the
+    source's layers between its candidates; memory stays that of the two
+    graphs plus one source's layers and one target's search.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
@@ -114,6 +117,7 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
+    source = distance = None
     for ci, cj, w in dn.conceptual.edges():
         ki = dn.pair_of_conceptual.get(ci)
         kj = dn.pair_of_conceptual.get(cj)
@@ -125,7 +129,9 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
             kinds[(ki, kj) if ki < kj else (kj, ki)] = (MATCH, 1)
         elif delta >= 2:
             # Not adjacent, so any distance within delta is a gap.
-            d = hop_distance(physical, pi, pj, delta)
+            if pi != source:
+                source, distance = pi, distances_from(physical, pi, delta)
+            d = distance(pj)
             if d is not None:
                 edges.append((ki, kj, gap_weight(gap_mode, w, d)))
                 kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)

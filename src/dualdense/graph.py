@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
 LabelEdge = tuple[str, str, float]
@@ -229,36 +229,63 @@ def nearest(g: Graph, sources: Iterable[int],
     return None
 
 
-def hop_distance(g: Graph, s: int, t: int, cap: float = math.inf) -> Optional[int]:
-    """Hop distance from s to t, or None when it exceeds ``cap`` or t is
-    unreachable.
+def distances_from(g: Graph, s: int,
+                   cap: float = math.inf) -> Callable[[int], Optional[int]]:
+    """Searcher answering hop distances from s: it maps a target t to
+    d(s, t), or to None when that exceeds ``cap`` or t is unreachable.
 
-    Bidirectional search over whole layers (Pohl, 1971): each side keeps
-    the ball of nodes it has reached and its outermost layer, and the side
-    with the smaller layer grows by one, in one C-level set union over the
-    layer's adjacency lists.  The balls stay disjoint until the distance is
-    found, so the first new layer that meets the other ball gives it; a
-    side whose new layer is empty has exhausted its component.  It answers
-    one point-to-point query and keeps no parent map.
+    Bidirectional search over whole layers (Pohl, 1971) whose source side
+    is shared by every target.  The searcher keeps s's layers and their
+    union, the ball, and grows them only on demand, one C-level set union
+    over the outer layer's adjacency lists each; a target inside the ball
+    is answered by its layer, and one whose adjacency row meets the ball
+    lies one layer beyond it.  Farther targets grow their own side from
+    scratch: the side with the smaller outer layer grows by one layer, and
+    the first new layer that meets the other side's ball gives the
+    distance.  On the last step ``cap`` allows, the target side only tests
+    its outer layer's rows against the source ball.  An empty source layer
+    marks s's component as exhausted, and an empty target layer t's.
     """
-    if s == t:
-        return 0
     nbrs = g._nbrs
-    near, near_layer = {s}, [s]
-    far, far_layer = {t}, [t]
-    d = 0
-    while d < cap:
-        if len(far_layer) < len(near_layer):
-            near, near_layer, far, far_layer = far, far_layer, near, near_layer
-        layer = set().union(*[nbrs[x] for x in near_layer]) - near
-        if not layer:
+    layers = [{s}]
+    ball = {s}
+
+    def distance(t: int) -> Optional[int]:
+        if t in ball:
+            return next(k for k, layer in enumerate(layers) if t in layer)
+        # Invariant: the two balls are disjoint, so t lies beyond d hops.
+        d = len(layers) - 1
+        if d >= cap or not layers[-1]:
             return None
+        row = nbrs[t]
+        if not ball.isdisjoint(row):
+            return d + 1
+        far, far_layer = {t, *row}, row
         d += 1
-        if not far.isdisjoint(layer):
-            return d
-        near |= layer
-        near_layer = layer
-    return None
+        while d < cap:
+            if len(far_layer) < len(layers[-1]):
+                if d + 1 == cap:
+                    return d + 1 if any(not ball.isdisjoint(nbrs[x]) for x in far_layer) else None
+                layer = set().union(*[nbrs[x] for x in far_layer]) - far
+                if not layer:
+                    return None
+                d += 1
+                if not ball.isdisjoint(layer):
+                    return d
+                far |= layer
+                far_layer = layer
+            else:
+                layer = set().union(*[nbrs[x] for x in layers[-1]]) - ball
+                layers.append(layer)
+                if not layer:
+                    return None
+                ball.update(layer)
+                d += 1
+                if not far.isdisjoint(layer):
+                    return d
+        return None
+
+    return distance
 
 
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:

@@ -44,6 +44,8 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
             f"instance has {n} covered nodes, above the oracle cap of {node_cap}")
     if max_nodes is None:
         max_nodes = n
+    elif isinstance(max_nodes, bool) or not isinstance(max_nodes, int):
+        raise ConfigError(f"max_nodes must be a positive integer, got {max_nodes!r}")
     if max_nodes < 1:
         raise ConfigError(f"max_nodes must be at least 1, got {max_nodes}")
     max_nodes = min(max_nodes, n)

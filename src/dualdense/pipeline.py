@@ -13,7 +13,8 @@ from typing import Iterable
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import connected_components, density, is_connected, nearest, reach
+from .graph import (connected_components, density, distances_from, is_connected, nearest,
+                    reach)
 from .peel import PeelTrace, peel
 
 
@@ -82,6 +83,10 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     if mode is Connectivity.STRICT:
         return is_connected(dn.physical, phys)
 
+    if delta == math.inf:
+        # Same component: one searcher from the least member reaches all.
+        distance = distances_from(dn.physical, min(phys))
+        return all(distance(p) is not None for p in phys)
     # Breadth-first search of the auxiliary graph, one layer per ball: the
     # members within delta hops of the previous layer form the next one.
     remaining = set(phys)

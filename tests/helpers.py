@@ -172,6 +172,19 @@ def brute_dcs(dn: DualNetwork, max_size: int | None = None,
     return best[2], best[1]
 
 
+class ReadLog(list):
+    """Adjacency table that records which rows a search reads; install it
+    as ``g._nbrs = ReadLog(g._nbrs)``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
 def bfs_hops(g: Graph, src: int, dst: int) -> int | None:
     """Plain BFS hop distance, independent of the library BFS."""
     if src == dst:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density
-from dualdense.graph import hop_distance, nearest, reach
-from helpers import (bfs_hops, graphs_equal, least_shortest_path, random_graph,
+from dualdense.graph import distances_from, nearest, reach
+from helpers import (ReadLog, bfs_hops, graphs_equal, least_shortest_path, random_graph,
                      subset_density)
 
 
@@ -205,44 +205,87 @@ def forest_graph(rng):
     return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in sorted(edges)])
 
 
+def hub_graph(rng):
+    """One to three hubs, each joined to a random share of the nodes, over
+    a sparse random background; with some edges dropped, so that several
+    components and isolated nodes occur."""
+    n = rng.randint(2, 40)
+    edges = set()
+    for hub in rng.sample(range(n), min(n, rng.randint(1, 3))):
+        for v in rng.sample(range(n), rng.randint(0, n - 1)):
+            if v != hub:
+                edges.add((min(hub, v), max(hub, v)))
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    kept = sorted(e for e in edges if rng.random() < 0.6)
+    return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in kept])
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_hop_distance_matches_reference(seed):
-    # Every ordered pair, s == t included, at every cap: unreachable pairs
-    # and pairs beyond the cap both give None.
-    g = forest_graph(random.Random(seed))
-    for s in range(g.n):
-        for t in range(g.n):
-            d = bfs_hops(g, s, t)
+def test_distances_from_matches_reference(seed):
+    # One searcher per source and cap answers every node in random order,
+    # with repeats and the source itself: unreachable targets and targets
+    # beyond the cap both give None.
+    rng = random.Random(seed)
+    for g in (forest_graph(rng), hub_graph(rng)):
+        hops = {(s, t): bfs_hops(g, s, t) for s in range(g.n) for t in range(g.n)}
+        for s in range(g.n):
             for cap in (1, 2, 3, 4, 5, 6, math.inf):
-                expected = d if d is not None and d <= cap else None
-                assert hop_distance(g, s, t, cap) == expected, (s, t, cap)
+                distance = distances_from(g, s, cap)
+                targets = [*range(g.n), *rng.choices(range(g.n), k=g.n // 2), s]
+                rng.shuffle(targets)
+                for t in targets:
+                    d = hops[s, t]
+                    expected = d if d is not None and d <= cap else None
+                    assert distance(t) == expected, (s, t, cap)
 
 
-class _ReadLog(list):
-    """Adjacency table that records which rows a search reads."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = set()
-
-    def __getitem__(self, i):
-        self.read.add(i)
-        return super().__getitem__(i)
+def hub_path(length):
+    """Path 0-1-...-length with 30 leaves hanging off node 0, and one
+    isolated node; returns the graph and the leaves' indices."""
+    n = length + 1
+    edges = [(i, i + 1, 1.0) for i in range(length)]
+    edges += [(0, n + i, 1.0) for i in range(30)]
+    g = Graph([f"v{i}" for i in range(n + 31)], edges)
+    g._nbrs = ReadLog(g._nbrs)
+    return g, range(n, n + 30)
 
 
 @pytest.mark.parametrize("hub_first", [True, False])
-def test_hop_distance_grows_smaller_side(hub_first):
-    # Path s-a-b-c-t with 30 leaves hanging off s.  The hub's side grows at
+def test_distances_from_grows_smaller_side(hub_first):
+    # Path 0-1-2-3-4 with 30 leaves hanging off 0.  The hub's side grows at
     # most once (its first layer has 31 nodes), so no leaf's adjacency row
     # is ever read, whichever endpoint the search starts from.
-    labels = ["s", "a", "b", "c", "t"] + [f"leaf{i}" for i in range(30)]
-    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
-    edges += [(0, 5 + i, 1.0) for i in range(30)]
-    g = Graph(labels, edges)
-    g._nbrs = _ReadLog(g._nbrs)
-    assert hop_distance(g, *((0, 4) if hub_first else (4, 0))) == 4
-    assert g._nbrs.read.isdisjoint(range(5, 35))
+    g, leaves = hub_path(4)
+    s, t = (0, 4) if hub_first else (4, 0)
+    assert distances_from(g, s)(t) == 4
+    assert g._nbrs.read.isdisjoint(leaves)
+
+
+def test_hub_searcher_reads_no_leaf_row():
+    # The hub's first layer, kept between targets, is never grown: each far
+    # target grows its own, smaller side instead.
+    g, leaves = hub_path(6)
+    distance = distances_from(g, 0)
+    assert [distance(t) for t in (4, 6, 3, 5, 2, 37, 0)] == [4, 6, 3, 5, 2, None, 0]
+    capped = distances_from(g, 0, 4)
+    assert [capped(t) for t in (6, 5, 4, 37)] == [None, None, 4, None]
+    assert g._nbrs.read.isdisjoint(leaves)
+
+
+def test_exhausted_source_reads_no_row():
+    # Once the source's component {0, 1} is exhausted, targets in the path
+    # 2-...-99 are answered without reading any adjacency row.
+    g = Graph([f"v{i}" for i in range(100)],
+              [(0, 1, 1.0)] + [(i, i + 1, 1.0) for i in range(2, 99)])
+    g._nbrs = ReadLog(g._nbrs)
+    distance = distances_from(g, 0)
+    assert distance(50) is None
+    g._nbrs.read.clear()
+    assert [distance(t) for t in (30, 98, 1, 2)] == [None, None, 1, None]
+    assert not g._nbrs.read
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,6 +62,13 @@ class TestBruteForceDcs:
         assert result.nodes == frozenset({0})
         assert result.density == 0.0
 
+    @pytest.mark.parametrize("bound", [2.5, True, "3"])
+    def test_non_integer_max_nodes_refused(self, bound):
+        # A bool or a non-integer bound never names a subset size.
+        dn = identity_dual([(0, 1, 1.0)], [(0, 1)], ["a", "b"])
+        with pytest.raises(ConfigError, match="max_nodes"):
+            brute_force_dcs(dn, max_nodes=bound)
+
     def test_max_nodes_bounds_subset_size(self):
         pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         dn = identity_dual([(u, v, 1.0) for u, v in pairs], pairs, list("abcde"))

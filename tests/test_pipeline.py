@@ -12,8 +12,8 @@ from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        brute_force_dcs, density, extract_dcs, generate_planted,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
-from helpers import (brute_dcs, physically_connected, random_dual_network, random_graph,
-                     reference_repair, relaxed_connected)
+from helpers import (ReadLog, brute_dcs, physically_connected, random_dual_network,
+                     random_graph, reference_repair, relaxed_connected)
 
 
 def identity_dual(conc_edges, phys_edges, labels):
@@ -163,6 +163,16 @@ def test_relaxed_matches_auxiliary_graph(seed, n, delta):
     members = rng.sample(range(dn.pair_count), rng.randint(2, dn.pair_count))
     assert (verify_physical_connectivity(dn, members, Connectivity.RELAXED, delta)
             == relaxed_connected(dn, members, delta))
+
+
+def test_relaxed_infinite_delta_stops_at_last_member():
+    # Members 0, 2 and 4 of a 1,000-node path are found within five nodes,
+    # so the rest of their physical component is never grown.
+    labels = [f"n{i}" for i in range(1000)]
+    dn = identity_dual([(0, 2, 1.0), (2, 4, 1.0)], [(i, i + 1) for i in range(999)], labels)
+    dn.physical._nbrs = ReadLog(dn.physical._nbrs)
+    assert verify_physical_connectivity(dn, {0, 2, 4}, Connectivity.RELAXED, math.inf)
+    assert max(dn.physical._nbrs.read) <= 4
 
 
 @settings(max_examples=150, deadline=None)
