@@ -6,7 +6,9 @@ of composite nodes: physical adjacency yields a Match edge carrying the
 conceptual weight; a physical hop distance d with 2 <= d <= delta yields a
 Gap(d) edge weighted by the selected gap rule; anything farther yields no
 edge.  delta = infinity turns the distance test into same-component
-reachability.  Gap distances come from capped bidirectional searches
+reachability; under the conceptual rule, where a gap weighs w_c at any
+distance, physical component labels then decide it with no search.
+Otherwise gap distances come from capped bidirectional searches
 (``graph.distances_from``): the candidates of one conceptual node share its
 physical node's side of the search, and each grows only its own side from
 scratch, so the work per candidate grows with the balls of radius about
@@ -21,7 +23,7 @@ from enum import Enum
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import Graph, distances_from
+from .graph import Graph, connected_components, distances_from
 
 MATCH = "match"
 GAP = "gap"
@@ -61,13 +63,24 @@ class AlignmentGraph:
 
     Composite node k corresponds to correspondence pair k; its label is
     ``composite_label(conceptual, physical)``.  ``kinds`` maps each edge
-    (u, v) with u < v to ("match", 1) or ("gap", d).
+    (u, v) with u < v to ("match", 1) or ("gap", d).  ``dual`` is the dual
+    network it was built from.  The label build (delta = infinity,
+    conceptual rule) knows no distances, so its kinds are found on first
+    read by a per-hop search: at delta = infinity both rules give one edge
+    set.
     """
 
     graph: Graph
-    kinds: dict[tuple[int, int], tuple[str, int]]
+    dual: DualNetwork
     delta: float
     gap_mode: GapWeightRule
+    _kinds: dict[tuple[int, int], tuple[str, int]] | None = None
+
+    @property
+    def kinds(self) -> dict[tuple[int, int], tuple[str, int]]:
+        if self._kinds is None:
+            self._kinds = _search(self.dual, self.delta, GapWeightRule.PER_HOP)[1]
+        return self._kinds
 
     def kind_of(self, u: int, v: int) -> tuple[str, int]:
         return self.kinds[(u, v) if u < v else (v, u)]
@@ -101,7 +114,10 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     One scan over the conceptual edges visits every candidate: an edge
     whose endpoints are both covered by the correspondence (every alignment
     edge requires conceptual adjacency, so scanning all composite-node
-    pairs is never needed).  A physically adjacent candidate is a match
+    pairs is never needed).  At delta = infinity under the conceptual rule
+    one labelling pass over the physical components decides them all: a
+    candidate is an edge of weight w_c exactly when both its physical nodes
+    share a label.  Otherwise a physically adjacent candidate is a match
     edge; any other, when delta >= 2, gets its hop distance capped at delta
     and becomes a gap edge if that distance exists.  The scan yields each
     conceptual node's candidates together, so one ``distances_from``
@@ -114,6 +130,20 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
         raise ConfigError(f"unknown gap weight rule: {gap_mode!r}")
 
     labels = [composite_label(c, p) for c, p in dn.pairs]
+    if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
+        component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
+        # Each covered conceptual node takes its physical node's label.
+        label = {ci: component[dn.pair_physical[k]] for ci, k in dn.pair_of_conceptual.items()}
+        pair_of = dn.pair_of_conceptual
+        edges = [(pair_of[ci], pair_of[cj], w) for ci, cj, w in dn.conceptual.edges()
+                 if ci in label and label[ci] == label.get(cj)]
+        return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode)
+    edges, kinds = _search(dn, delta, gap_mode)
+    return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode, kinds)
+
+
+def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
+    """The searcher build's edge list and kinds."""
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
@@ -135,5 +165,4 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
             if d is not None:
                 edges.append((ki, kj, gap_weight(gap_mode, w, d)))
                 kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
-
-    return AlignmentGraph(Graph(labels, edges), kinds, delta, gap_mode)
+    return edges, kinds

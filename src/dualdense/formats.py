@@ -16,7 +16,6 @@ import json
 import math
 import re
 from typing import IO, Iterable, Iterator, Union
-from xml.sax.saxutils import escape, quoteattr
 
 from .align import AlignmentGraph
 from .errors import ParseError
@@ -191,6 +190,8 @@ _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 def export_graphml(obj: Graph | AlignmentGraph) -> str:
     """GraphML document; raises ValueError for a label holding a character
     that XML 1.0 cannot represent."""
+    # Imported here: xml.sax pulls in urllib, http and ssl at start-up.
+    from xml.sax.saxutils import escape, quoteattr
     g, keys, rows = _edge_rows(obj)
     for lab in g.labels:
         bad = _NOT_XML_CHAR.search(lab)

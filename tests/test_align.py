@@ -1,14 +1,17 @@
 import math
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (ConfigError, DualNetwork, GapWeightRule, Graph,
-                       build_alignment_graph, gap_weight)
+from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, DualDenseError,
+                       DualNetwork, GapWeightRule, Graph, build_alignment_graph,
+                       extract_dcs, gap_weight, result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label
+from dualdense.graph import distances_from
 from helpers import bfs_hops, random_dual_network
 
 
@@ -202,6 +205,75 @@ def test_connectivity_transfer(seed, n, delta):
     for u, v, _ in ag.graph.edges():
         d = bfs_hops(dn.physical, dn.pair_physical[u], dn.pair_physical[v])
         assert d is not None and d <= delta
+
+
+def split_dual(rng, n, parts):
+    """Dual network whose physical graph has up to ``parts`` blocks, each a
+    random tree plus chords, and about one node in five isolated;
+    conceptual edges are drawn over all pairs, and node i of one graph
+    corresponds to node i of the other for about five nodes in six."""
+    block = [None if rng.random() < 0.2 else rng.randrange(parts) for _ in range(n)]
+    phys = set()
+    for b in range(parts):
+        members = [v for v in range(n) if block[v] == b]
+        for i, v in enumerate(members[1:], 1):
+            phys.add(tuple(sorted((v, rng.choice(members[:i])))))
+        for u, v in zip(members, members[2:]):
+            if rng.random() < 0.3:
+                phys.add((u, v))
+    conc = [(u, v, 1.0 - rng.random()) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.4]
+    dn = dual_from(conc, sorted(phys), n)
+    corr = [pair for i, pair in enumerate(dn.pairs) if i == 0 or rng.random() < 0.85]
+    return DualNetwork(dn.conceptual, dn.physical, tuple(corr))
+
+
+def searched_alignment(dn, delta, gap_mode):
+    """The delta=inf conceptual alignment graph with every candidate
+    decided by its own ``distances_from`` search."""
+    edges = []
+    for ci, cj, w in dn.conceptual.edges():
+        ki, kj = dn.pair_of_conceptual.get(ci), dn.pair_of_conceptual.get(cj)
+        if ki is None or kj is None:
+            continue
+        if distances_from(dn.physical, dn.pair_physical[ki])(dn.pair_physical[kj]) is not None:
+            edges.append((ki, kj, w))
+    labels = [composite_label(c, p) for c, p in dn.pairs]
+    return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode)
+
+
+def _no_search(*args):
+    raise AssertionError("the label build searched a distance")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 20), parts=st.integers(1, 4))
+def test_label_build_matches_searcher_build(seed, n, parts):
+    dn = split_dual(random.Random(seed), n, parts)
+    with mock.patch("dualdense.align.distances_from", _no_search):
+        labelled = build_alignment_graph(dn, math.inf, GapWeightRule.CONCEPTUAL)
+    searched = build_alignment_graph(dn, math.inf, GapWeightRule.PER_HOP)
+    edges = {(u, v): w for u, v, w in labelled.graph.edges()}
+    assert edges.keys() == {(u, v) for u, v, _ in searched.graph.edges()}
+    for (u, v), w in edges.items():
+        assert w == dn.conceptual.weight(dn.pair_conceptual[u], dn.pair_conceptual[v])
+    kinds = labelled.kinds
+    assert kinds == searched.kinds
+    assert labelled.kinds is kinds
+
+    for connectivity in Connectivity:
+        opts = DcsOptions(delta=math.inf, gap_mode=GapWeightRule.CONCEPTUAL,
+                          connectivity=connectivity)
+        with mock.patch("dualdense.pipeline.build_alignment_graph", searched_alignment):
+            expected = _outcome(dn, opts)
+        assert _outcome(dn, opts) == expected
+
+
+def _outcome(dn, opts):
+    try:
+        return result_to_doc(extract_dcs(dn, opts), dn, opts)
+    except DualDenseError as exc:
+        return type(exc)
 
 
 def test_composite_labels_escape_separator():

@@ -338,6 +338,17 @@ def test_module_entry_point(toy_instance):
     assert doc["conceptual_density"] == 2.0
 
 
+def test_cli_import_leaves_out_xml_and_network_modules():
+    # xml.sax.saxutils pulls in urllib.request and http.client; only the
+    # GraphML exporter needs it, so start-up must not import it.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, dualdense.cli; "
+             "print(sorted({'xml.sax', 'urllib.request', 'http.client'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # CLI fuzzing: every subcommand with random flag values and short random
 # input files.  Labels come from a small set and three files in four are
 # well formed, so that many drawn instances reach the pipeline.

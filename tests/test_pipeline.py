@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
-                       Graph, IrreparableDisconnection, NoFeasibleSubgraph,
+                       GapWeightRule, Graph, IrreparableDisconnection, NoFeasibleSubgraph,
                        brute_force_dcs, density, extract_dcs, generate_planted,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
@@ -270,17 +270,27 @@ def test_repair_only_adds(seed, n, delta):
     assert result.conceptual_density == pytest.approx(density(ci, range(ci.n)), rel=1e-9)
 
 
-def test_default_delta_at_c8_scale():
+def _assert_within_c8_budgets(opts):
     # C8's instance (same generate_planted call and seed) under C8's
-    # budgets, but with the default options: delta=4 instead of 2.
+    # 120 s and 4 GB budgets, with other options than C8's delta=2.
     n = 100_000
     pair_count = n * (n - 1) // 2
     inst = generate_planted(n, 8, seed=99, background_edge_prob=500_000 / pair_count,
                             physical_edge_prob=(500_000 - (n - 1)) / pair_count)
     t0 = time.monotonic()
-    result = extract_dcs(inst.dual, DcsOptions())
+    result = extract_dcs(inst.dual, opts)
     elapsed = time.monotonic() - t0
     rss_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 ** 2)
     assert result.physically_connected
     assert elapsed < 120.0, f"{elapsed:.1f}s"
     assert rss_gb < 4.0, f"peak {rss_gb:.2f} GB"
+
+
+def test_default_delta_at_c8_scale():
+    _assert_within_c8_budgets(DcsOptions())
+
+
+def test_conceptual_infinite_delta_at_c8_scale():
+    # Component labels decide every gap; nothing searches a distance.
+    _assert_within_c8_budgets(DcsOptions(delta=math.inf, gap_mode=GapWeightRule.CONCEPTUAL,
+                                         connectivity=Connectivity.RELAXED))
