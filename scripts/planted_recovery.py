@@ -8,7 +8,6 @@ structure.
 """
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -17,14 +16,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dualdense import (ConfigError, DcsOptions, GapWeightRule, extract_dcs,
                        generate_planted)
-from dualdense.align import check_delta
+from dualdense.align import delta_doc, parse_delta
 
 
 def delta_list(text: str) -> list[float]:
     try:
-        return [check_delta(math.inf if tok == "inf" else int(tok))
-                for tok in text.split(",")]
-    except (ConfigError, ValueError):
+        return [parse_delta(tok) for tok in text.split(",")]
+    except ConfigError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated positive integers or 'inf', got {text!r}") from None
 
@@ -70,8 +68,7 @@ def main() -> int:
                 if result.nodes == inst.planted and not result.connector_nodes:
                     hits += 1
             elapsed = time.monotonic() - t0
-            label = "inf" if delta == math.inf else str(delta)
-            print(f"{label:>6} {rule.value:>12} {hits:>6}/{args.runs:<3} "
+            print(f"{delta_doc(delta):>6} {rule.value:>12} {hits:>6}/{args.runs:<3} "
                   f"{sizes / args.runs:>9.2f} {elapsed:>6.1f}s")
     return 0
 

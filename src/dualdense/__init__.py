@@ -10,7 +10,7 @@ connectivity of the selection.
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_weight
 from .dualnet import DualNetwork
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
-                     NoFeasibleSubgraph, ParseError)
+                     NoFeasibleSubgraph, ParseError, WeightUnderflow)
 from .graph import Graph, connected_components, density, is_connected
 from .oracle import OracleResult, brute_force_dcs
 from .peel import DensestResult, PeelTrace, peel
@@ -25,7 +25,7 @@ __all__ = [
     "AlignmentGraph", "GapWeightRule", "build_alignment_graph", "gap_weight",
     "DualNetwork",
     "ConfigError", "DualDenseError", "IrreparableDisconnection",
-    "NoFeasibleSubgraph", "ParseError",
+    "NoFeasibleSubgraph", "ParseError", "WeightUnderflow",
     "Graph", "connected_components", "density", "is_connected",
     "OracleResult", "brute_force_dcs",
     "DensestResult", "PeelTrace", "peel",

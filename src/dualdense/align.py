@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dualnet import DualNetwork
-from .errors import ConfigError
+from .errors import ConfigError, WeightUnderflow
 from .graph import Graph, connected_components, distances_from
 
 MATCH = "match"
@@ -66,8 +66,7 @@ class AlignmentGraph:
     (u, v) with u < v to ("match", 1) or ("gap", d).  ``dual`` is the dual
     network it was built from.  The label build (delta = infinity,
     conceptual rule) knows no distances, so its kinds are found on first
-    read by a per-hop search: at delta = infinity both rules give one edge
-    set.
+    read by the searcher build.
     """
 
     graph: Graph
@@ -79,7 +78,7 @@ class AlignmentGraph:
     @property
     def kinds(self) -> dict[tuple[int, int], tuple[str, int]]:
         if self._kinds is None:
-            self._kinds = _search(self.dual, self.delta, GapWeightRule.PER_HOP)[1]
+            self._kinds = _search(self.dual, self.delta, self.gap_mode)[1]
         return self._kinds
 
     def kind_of(self, u: int, v: int) -> tuple[str, int]:
@@ -95,6 +94,23 @@ def check_delta(delta) -> float:
     if delta < 1:
         raise ConfigError(f"delta must be at least 1, got {delta}")
     return delta
+
+
+def parse_delta(text: str) -> float:
+    """Read a gap threshold written as an integer or as 'inf' (in any case,
+    surrounding spaces allowed), checked by ``check_delta``."""
+    if text.strip().lower() == "inf":
+        return math.inf
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"delta must be a positive integer or 'inf', got {text!r}") from None
+    return check_delta(value)
+
+
+def delta_doc(delta: float) -> int | str:
+    """A gap threshold as output shows it: the integer, or 'inf'."""
+    return "inf" if delta == math.inf else delta
 
 
 def _escape(part: str) -> str:
@@ -132,11 +148,8 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     labels = [composite_label(c, p) for c, p in dn.pairs]
     if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
         component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
-        # Each covered conceptual node takes its physical node's label.
-        label = {ci: component[dn.pair_physical[k]] for ci, k in dn.pair_of_conceptual.items()}
-        pair_of = dn.pair_of_conceptual
-        edges = [(pair_of[ci], pair_of[cj], w) for ci, cj, w in dn.conceptual.edges()
-                 if ci in label and label[ci] == label.get(cj)]
+        label = [component[p] for p in dn.pair_physical]
+        edges = [(ki, kj, w) for ki, kj, w in dn.candidates() if label[ki] == label[kj]]
         return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode)
     edges, kinds = _search(dn, delta, gap_mode)
     return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode, kinds)
@@ -148,11 +161,7 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
     source = distance = None
-    for ci, cj, w in dn.conceptual.edges():
-        ki = dn.pair_of_conceptual.get(ci)
-        kj = dn.pair_of_conceptual.get(cj)
-        if ki is None or kj is None:
-            continue
+    for ki, kj, w in dn.candidates():
         pi, pj = pair_physical[ki], pair_physical[kj]
         if physical.has_edge(pi, pj):
             edges.append((ki, kj, w))
@@ -163,6 +172,11 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
                 source, distance = pi, distances_from(physical, pi, delta)
             d = distance(pj)
             if d is not None:
-                edges.append((ki, kj, gap_weight(gap_mode, w, d)))
+                weight = gap_weight(gap_mode, w, d)
+                if not weight:
+                    raise WeightUnderflow(
+                        f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
+                        f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
+                edges.append((ki, kj, weight))
                 kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
     return edges, kinds

@@ -3,21 +3,20 @@
 Subcommands: ``dcs`` (full pipeline), ``align`` (alignment graph export),
 ``peel`` (densest subgraph of one weighted graph), ``oracle`` (exact
 brute-force result), ``gen`` (planted instance files), ``stats`` (graph
-metrics).  Exit codes: 0 success, 1 infeasible result, 2 input/parse error,
-3 configuration error.
+metrics).  Exit codes: 0 success, 1 infeasible result, 2 input/parse error
+(a per-hop gap weight that underflows included), 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import formats
-from .align import GapWeightRule, build_alignment_graph
+from .align import GapWeightRule, build_alignment_graph, parse_delta
 from .dualnet import DualNetwork
 from .errors import (ConfigError, IrreparableDisconnection, NoFeasibleSubgraph,
-                     ParseError)
+                     ParseError, WeightUnderflow)
 from .graph import connected_components, density
 from .oracle import brute_force_dcs
 from .peel import peel
@@ -28,15 +27,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
-
-
-def _parse_delta(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"--delta must be a positive integer or 'inf', got {text!r}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -59,7 +49,7 @@ def _load_dual(args) -> DualNetwork:
 
 def _options(args) -> DcsOptions:
     return DcsOptions(
-        delta=_parse_delta(args.delta),
+        delta=parse_delta(args.delta),
         gap_mode=GapWeightRule(args.gap_mode),
         connectivity=Connectivity(args.connectivity),
         repair=not args.no_repair,
@@ -73,9 +63,8 @@ def cmd_dcs(args) -> int:
     if args.format == "json":
         _emit(formats.canonical_json(result_to_doc(result, dn, opts)), args.output)
     else:
-        final = result.all_nodes
-        c_hl = {dn.conceptual.labels[i] for i in dn.conceptual_nodes(final)}
-        p_hl = {dn.physical.labels[i] for i in dn.physical_nodes(final)}
+        c_hl = {dn.pairs[k][0] for k in result.all_nodes}
+        p_hl = {dn.pairs[k][1] for k in result.all_nodes}
         text = (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
                 + formats.export_dot(dn.physical, name="physical", highlight=p_hl))
         _emit(text, args.output)
@@ -84,7 +73,7 @@ def cmd_dcs(args) -> int:
 
 def cmd_align(args) -> int:
     dn = _load_dual(args)
-    ag = build_alignment_graph(dn, _parse_delta(args.delta), GapWeightRule(args.gap_mode))
+    ag = build_alignment_graph(dn, parse_delta(args.delta), GapWeightRule(args.gap_mode))
     try:
         text = formats.export_graph(ag, args.format)
     except ValueError as exc:
@@ -245,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, WeightUnderflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:

@@ -4,9 +4,9 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .graph import Graph
+from .graph import Graph, density
 
 
 class DualNetwork:
@@ -14,9 +14,10 @@ class DualNetwork:
 
     ``pairs`` is the correspondence: one ``(conceptual_label,
     physical_label)`` pair per shared node.  Pair k becomes the shared node
-    identity: helper tables map pair ids to node indices in either graph.
-    Nodes of either graph that appear in no pair stay in their graphs but
-    are excluded from alignment and from any extracted subgraph.
+    identity: helper tables map pair ids to node indices in either graph,
+    and the methods below answer in pair ids, so no other module needs
+    the tables.  Nodes of either graph that appear in no pair stay in their
+    graphs but are excluded from alignment and from any extracted subgraph.
     """
 
     __slots__ = ("conceptual", "physical", "pairs", "pair_conceptual",
@@ -75,21 +76,31 @@ class DualNetwork:
     def physical_nodes(self, members: Iterable[int]) -> set[int]:
         return {self.pair_physical[k] for k in self._check(members)}
 
+    def conceptual_density(self, members: Iterable[int]) -> float:
+        """Conceptual density of a set of pair ids."""
+        return density(self.conceptual, self.conceptual_nodes(members))
+
+    def candidates(self) -> Iterator[tuple[int, int, float]]:
+        """``(pair id, pair id, conceptual weight)`` for each conceptual edge
+        whose two endpoints are covered, in the conceptual graph's edge
+        order, so that one node's edges to larger indices come together."""
+        # Indexed by conceptual node, None where uncovered: faster than the dict.
+        pair_of: list[int | None] = [None] * self.conceptual.n
+        for k, ci in enumerate(self.pair_conceptual):
+            pair_of[ci] = k
+        for ci, ki in enumerate(pair_of):
+            if ki is not None:
+                for cj, w in self.conceptual.incident(ci):
+                    if cj > ci and pair_of[cj] is not None:
+                        yield ki, pair_of[cj], w
+
     @property
     def pair_graph(self) -> Graph:
         """The physical graph induced on covered nodes, re-indexed by pair id
         and labelled with the physical labels.  Built on first use (only
         repair and the oracle need it) and cached."""
         if self._pair_graph is None:
-            pair_of = {p: k for k, p in enumerate(self.pair_physical)}
-            edges = []
-            for k, p in enumerate(self.pair_physical):
-                for q in self.physical.neighbors(p):
-                    j = pair_of.get(q)
-                    if j is not None and k < j:
-                        edges.append((k, j, 1.0))
-            labels = [self.physical.labels[p] for p in self.pair_physical]
-            self._pair_graph = Graph(labels, edges)
+            self._pair_graph = self.physical.subgraph(self.pair_physical)
         return self._pair_graph
 
     def _check(self, members: Iterable[int]) -> set[int]:

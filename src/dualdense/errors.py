@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: infeasible results exit 1, bad input
-files exit 2, bad options exit 3.
+files (and weights that underflow) exit 2, bad options exit 3.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ class ParseError(DualDenseError, ValueError):
 
 class ConfigError(DualDenseError, ValueError):
     """An option or parameter value is out of its documented domain."""
+
+
+class WeightUnderflow(DualDenseError, ValueError):
+    """A per-hop gap weight rounds to zero: the conceptual weight is too
+    small to divide by the physical detour length."""
 
 
 class NoFeasibleSubgraph(DualDenseError):

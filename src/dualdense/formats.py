@@ -17,7 +17,7 @@ import math
 import re
 from typing import IO, Iterable, Iterator, Union
 
-from .align import AlignmentGraph
+from .align import AlignmentGraph, delta_doc
 from .errors import ParseError
 from .graph import Graph
 
@@ -148,7 +148,7 @@ def export_json(obj: Graph | AlignmentGraph) -> str:
     if isinstance(obj, AlignmentGraph):
         names = ("source", "target", *keys)
         doc["edges"] = [dict(zip(names, edge)) for edge in edges]
-        doc["delta"] = "inf" if obj.delta == math.inf else obj.delta
+        doc["delta"] = delta_doc(obj.delta)
         doc["gap_mode"] = obj.gap_mode.value
     return canonical_json(doc)
 

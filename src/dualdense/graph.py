@@ -142,8 +142,9 @@ class Graph:
         return all(w == 1.0 for row in self._wts for w in row)
 
     def subgraph(self, members: Iterable[int]) -> "Graph":
-        """Induced subgraph; labels preserved, indices re-densified."""
-        order = sorted(set(members))
+        """Induced subgraph with labels preserved: node i of the result is
+        the i-th distinct member in the order given."""
+        order = list(dict.fromkeys(members))
         remap = {old: new for new, old in enumerate(order)}
         edges = []
         for old in order:

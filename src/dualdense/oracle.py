@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import density
 
 DEFAULT_NODE_CAP = 25
 
@@ -53,12 +52,7 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
     adj = dn.pair_graph.neighbors
 
     # Conceptual weight between covered pairs, keyed (min, max).
-    cw: dict[tuple[int, int], float] = {}
-    for ci, cj, w in dn.conceptual.edges():
-        ki = dn.pair_of_conceptual.get(ci)
-        kj = dn.pair_of_conceptual.get(cj)
-        if ki is not None and kj is not None:
-            cw[(ki, kj) if ki < kj else (kj, ki)] = w
+    cw = {(ki, kj) if ki < kj else (kj, ki): w for ki, kj, w in dn.candidates()}
 
     explored = 0
     best: tuple[float, int, tuple[int, ...]] = (-1.0, 0, ())
@@ -89,4 +83,4 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
     # No physical edge among covered pairs: fall back to the smallest
     # singleton, mirroring the pipeline's degenerate behavior.
     nodes = frozenset(-k for k in best[2]) or frozenset((0,))
-    return OracleResult(nodes, density(dn.conceptual, dn.conceptual_nodes(nodes)), explored)
+    return OracleResult(nodes, dn.conceptual_density(nodes), explored)

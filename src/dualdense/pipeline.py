@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta
+from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta,
+                    delta_doc)
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
 from .graph import (connected_components, density, distances_from, is_connected, nearest,
@@ -76,10 +77,9 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
     if mode is Connectivity.RELAXED:
         delta = check_delta(delta)
-    S = dn._check(members)
-    if len(S) <= 1:
+    phys = dn.physical_nodes(members)
+    if len(phys) <= 1:
         return True
-    phys = {dn.pair_physical[k] for k in S}
     if mode is Connectivity.STRICT:
         return is_connected(dn.physical, phys)
 
@@ -145,7 +145,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
 
     peeled, trace = peel(ag.graph)
     core_density, size, negated_ids = max(
-        (density(dn.conceptual, dn.conceptual_nodes(comp)), len(comp), tuple(-k for k in comp))
+        (dn.conceptual_density(comp), len(comp), tuple(-k for k in comp))
         for comp in connected_components(ag.graph, peeled.nodes))
     selected = frozenset(-k for k in negated_ids)
     # A RELAXED selection is connected by construction: it is one
@@ -167,8 +167,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
         except IrreparableDisconnection as exc:
             exc.partial = result
             raise
-        result.conceptual_density = density(
-            dn.conceptual, dn.conceptual_nodes(result.all_nodes))
+        result.conceptual_density = dn.conceptual_density(result.all_nodes)
         result.physically_connected = True
     return result
 
@@ -180,7 +179,7 @@ def result_to_doc(result: DcsResult, dn: DualNetwork, opts: DcsOptions) -> dict:
         return sorted([list(dn.pairs[k]) for k in members])
 
     return {
-        "delta": "inf" if opts.delta == math.inf else opts.delta,
+        "delta": delta_doc(opts.delta),
         "gap_mode": opts.gap_mode.value,
         "connectivity": opts.connectivity.value,
         "repair": opts.repair,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, DualDenseError,
                        DualNetwork, GapWeightRule, Graph, build_alignment_graph,
-                       extract_dcs, gap_weight, result_to_doc)
-from dualdense.align import GAP, MATCH, composite_label
+                       WeightUnderflow, extract_dcs, gap_weight, result_to_doc)
+from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
 from helpers import bfs_hops, random_dual_network
 
@@ -89,6 +89,24 @@ class TestBuildAlignmentGraph:
         dn = dual_from([(0, 1, 0.5)], [(0, 1)], 2)
         with pytest.raises(ConfigError):
             build_alignment_graph(dn, delta=0)
+
+    @pytest.mark.parametrize("text, delta", [
+        ("1", 1), (" 4 ", 4), ("inf", math.inf), ("INF", math.inf), (" Inf ", math.inf)])
+    def test_parse_delta(self, text, delta):
+        assert parse_delta(text) == delta
+
+    @pytest.mark.parametrize("text", ["0", "-3", "1.5", "x", "", "infinity"])
+    def test_parse_delta_rejects(self, text):
+        with pytest.raises(ConfigError):
+            parse_delta(text)
+
+    def test_per_hop_weight_underflow_names_the_edge(self):
+        # 5e-324 is the least positive float: halved, it rounds to zero.
+        dn = dual_from([(0, 1, 5e-324), (0, 2, 1.0)], [(0, 2), (2, 1)], 3)
+        with pytest.raises(WeightUnderflow, match="conceptual edge 'w0' -- 'w1'"):
+            build_alignment_graph(dn, delta=2)
+        ag = build_alignment_graph(dn, delta=math.inf, gap_mode=GapWeightRule.CONCEPTUAL)
+        assert ag.kind_of(0, 1) == (GAP, 2)
 
     def test_bad_gap_mode_rejected(self):
         dn = dual_from([(0, 1, 0.5)], [(0, 1)], 2)

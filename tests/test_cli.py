@@ -110,6 +110,24 @@ class TestDcsCommand:
         assert code == 1
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dcs", "align"])
+    def test_underflowing_gap_weight_exit_2(self, tmp_path, capsys, command):
+        # Spread over the 2-hop detour a-x-b, the least positive float
+        # rounds to a per-hop gap weight of 0.
+        paths = {}
+        for name, text in (("conceptual", "a b 5e-324\na x 1.0\n"), ("physical", "a x\nx b\n"),
+                           ("correspondence", "a a\nb b\nx x\n")):
+            paths[name] = str(tmp_path / f"{name}.tsv")
+            Path(paths[name]).write_text(text)
+        assert main([command, *dual_args(paths)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: gap weight underflows to 0: conceptual edge 'a' -- 'b' "
+                       "weighs 5e-324, over 2 physical hops\n")
+        for delta in ("4", "inf"):
+            assert main([command, *dual_args(paths), "--delta", delta,
+                         "--gap-mode", "conceptual"]) == 0
+
     def test_dot_output_highlights(self, toy_instance, capsys):
         assert main(["dcs", *dual_args(toy_instance), "--delta", "2",
                      "--format", "dot"]) == 0
@@ -162,8 +180,9 @@ class TestAlignCommand:
         assert "<graphml" in capsys.readouterr().out
 
     def test_inf_delta(self, toy_instance, capsys):
-        assert main(["align", *dual_args(toy_instance), "--delta", "inf"]) == 0
-        assert json.loads(capsys.readouterr().out)["delta"] == "inf"
+        for delta in ("inf", "INF", " Inf "):
+            assert main(["align", *dual_args(toy_instance), "--delta", delta]) == 0
+            assert json.loads(capsys.readouterr().out)["delta"] == "inf"
 
 
 class TestPeelCommand:
@@ -368,8 +387,11 @@ NOISE_TEXT = _lines(st.one_of(
               | st.floats().map(repr)).map(" ".join),
     st.tuples(LABEL, LABEL).map(" ".join),
     st.text(max_size=12)))
+# 5e-324, the least positive float, parses but underflows as a per-hop
+# gap weight.
 WEIGHTED_TEXT = _mostly(
-    _lines(st.tuples(EDGE, st.sampled_from(["1", "0.5", "2"]) | st.floats(1e-3, 1e3).map(repr))
+    _lines(st.tuples(EDGE, st.sampled_from(["1", "0.5", "2", "5e-324"])
+                     | st.floats(1e-3, 1e3).map(repr))
            .map(" ".join), min_size=1),
     NOISE_TEXT)
 UNWEIGHTED_TEXT = _mostly(_lines(EDGE, min_size=1), NOISE_TEXT)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import DualNetwork, Graph, density
-from helpers import random_dual_network
+from helpers import random_dual_network, subset_density
 
 
 def small_pair():
@@ -154,3 +154,57 @@ def test_fuzzed_violations_rejected(seed, kind):
         pairs.append(("ghost_c", "ghost_p"))
     with pytest.raises(ValueError):
         DualNetwork(dn.conceptual, dn.physical, pairs)
+
+
+class TestCandidates:
+    def test_candidates_skip_uncovered_and_keep_edge_order(self):
+        c = Graph(["w1", "w2", "w3", "w4"],
+                  [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3), (1, 2, 0.4), (2, 3, 0.5)])
+        p = Graph(["v1", "v2", "v3"], [(0, 1, 1.0)])
+        # w2 is uncovered, so its two edges are no candidates.
+        dn = DualNetwork(c, p, (("w4", "v1"), ("w3", "v2"), ("w1", "v3")))
+        assert list(dn.candidates()) == [(2, 1, 0.2), (2, 0, 0.3), (1, 0, 0.5)]
+
+
+def partial_dual_network(rng, n):
+    """A random dual network whose correspondence covers a shuffled subset
+    of the nodes."""
+    dn = random_dual_network(rng, n)
+    pairs = rng.sample(dn.pairs, rng.randint(1, n))
+    return DualNetwork(dn.conceptual, dn.physical, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+def test_candidates_are_the_covered_conceptual_edges(seed, n):
+    dn = partial_dual_network(random.Random(seed), n)
+    c, pc = dn.conceptual, dn.pair_conceptual
+    found = list(dn.candidates())
+    expected = {(k, j, c.weight(pc[k], pc[j])) for k in range(dn.pair_count)
+                for j in range(dn.pair_count) if pc[k] < pc[j] and c.has_edge(pc[k], pc[j])}
+    assert set(found) == expected and len(found) == len(expected)
+    # Conceptual edge order: by the lower endpoint, then the upper.
+    ends = [(pc[k], pc[j]) for k, j, _ in found]
+    assert ends == sorted(ends)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+def test_conceptual_density_matches_subset_density(seed, n):
+    rng = random.Random(seed)
+    dn = partial_dual_network(rng, n)
+    S = rng.sample(range(dn.pair_count), rng.randint(1, dn.pair_count))
+    expected = subset_density(dn.conceptual, [dn.pair_conceptual[k] for k in S])
+    assert dn.conceptual_density(S) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+def test_pair_graph_is_the_covered_physical_subgraph(seed, n):
+    dn = partial_dual_network(random.Random(seed), n)
+    p, pp = dn.physical, dn.pair_physical
+    g = dn.pair_graph
+    assert g.labels == tuple(p.labels[q] for q in pp)
+    expected = [(k, j, 1.0) for k in range(dn.pair_count)
+                for j in range(k + 1, dn.pair_count) if p.has_edge(pp[k], pp[j])]
+    assert list(g.edges()) == expected == list(p.subgraph(pp).edges())

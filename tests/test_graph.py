@@ -115,6 +115,14 @@ class TestShortestPathHops:
         assert shortest_path_hops(g, 0, 3) == (2, [0, 1, 3])
 
 
+def test_subgraph_keeps_member_order_and_drops_repeats():
+    g = Graph(list("abcd"), [(0, 1, 0.5), (1, 3, 2.0), (2, 3, 1.0)])
+    h = g.subgraph([3, 1, 3, 0])
+    assert h.labels == ("d", "b", "a")
+    assert list(h.edges()) == [(0, 1, 2.0), (1, 2, 0.5)]
+    assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
+
+
 class TestConnectedComponents:
     def test_full_triangle(self):
         assert connected_components(triangle(), {0, 1, 2}) == [[0, 1, 2]]

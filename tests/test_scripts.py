@@ -26,7 +26,7 @@ def test_recovery_bad_option_is_usage_error(argv):
 
 
 def test_recovery_sweep_runs():
-    proc = run_recovery("--runs", "2", "--deltas", "1,inf")
+    proc = run_recovery("--runs", "2", "--deltas", "1,INF")
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[2:]
     assert [row.split()[:2] for row in rows] == [
