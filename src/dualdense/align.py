@@ -136,10 +136,11 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     share a label.  Otherwise a physically adjacent candidate is a match
     edge; any other, when delta >= 2, gets its hop distance capped at delta
     and becomes a gap edge if that distance exists.  The scan yields each
-    conceptual node's candidates together, so one ``distances_from``
-    searcher per source physical node answers them all, keeping the
-    source's layers between its candidates; memory stays that of the two
-    graphs plus one source's layers and one target's search.
+    conceptual node's candidates together, so one set of physical
+    neighbours per source physical node decides all their matches, and one
+    ``distances_from`` searcher per source answers all their distances,
+    keeping the source's layers between its candidates; memory stays that
+    of the two graphs plus one source's layers and one target's search.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
@@ -156,20 +157,28 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
 
 
 def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
-    """The searcher build's edge list and kinds."""
+    """The searcher build's edge list and kinds.
+
+    Candidates come grouped by source, so each new source physical node
+    gets one set of its physical neighbours, which decides every match of
+    its candidates by membership, and, only once a candidate of it is not
+    a match, one ``distances_from`` searcher for the gap distances.
+    """
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    source = distance = None
+    source = adjacent = distance = None
     for ki, kj, w in dn.candidates():
         pi, pj = pair_physical[ki], pair_physical[kj]
-        if physical.has_edge(pi, pj):
+        if pi != source:
+            source, adjacent, distance = pi, set(physical.neighbors(pi)), None
+        if pj in adjacent:
             edges.append((ki, kj, w))
             kinds[(ki, kj) if ki < kj else (kj, ki)] = (MATCH, 1)
         elif delta >= 2:
             # Not adjacent, so any distance within delta is a gap.
-            if pi != source:
-                source, distance = pi, distances_from(physical, pi, delta)
+            if distance is None:
+                distance = distances_from(physical, pi, delta)
             d = distance(pj)
             if d is not None:
                 weight = gap_weight(gap_mode, w, d)

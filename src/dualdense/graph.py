@@ -145,6 +145,7 @@ class Graph:
         """Induced subgraph with labels preserved: node i of the result is
         the i-th distinct member in the order given."""
         order = list(dict.fromkeys(members))
+        _check_members(self, order)
         remap = {old: new for new, old in enumerate(order)}
         edges = []
         for old in order:

@@ -57,22 +57,25 @@ def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     """Greedy peeling by minimum current volume (weighted degree).
 
     Ties on volume break toward the lowest node index, which makes every
-    trace reproducible.  Volumes are maintained by incremental subtraction
-    on a lazy min-heap.
+    trace reproducible.  A node with no incident edge has volume exactly 0
+    and every other node a positive one, so the zero-volume nodes leave
+    first, in index order, in one step that changes no volume and leaves
+    the total weight as it is.  The rest are peeled one at a time on a lazy
+    min-heap, with volumes maintained by incremental subtraction.
     """
     n = g.n
     if n == 0:
         raise ValueError("cannot peel an empty graph")
 
-    vols = [math.fsum(w for _, w in g.incident(v)) for v in range(n)]
-    alive = [True] * n
-    remaining = n
+    vols = [math.fsum(row) for row in g._wts]
     total = g.total_weight
-    heap: list[tuple[float, int]] = [(vols[v], v) for v in range(n)]
+    removal_order = [v for v in range(n) if not vols[v]]
+    densities = [2.0 * total / r for r in range(n, n - len(removal_order), -1)]
+    alive = [True] * n
+    remaining = n - len(removal_order)
+    heap: list[tuple[float, int]] = [(vols[v], v) for v in range(n) if vols[v]]
     heapq.heapify(heap)
 
-    removal_order: list[int] = []
-    densities: list[float] = []
     while remaining:
         densities.append(2.0 * total / remaining)
         while True:

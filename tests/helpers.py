@@ -4,6 +4,7 @@ with the implementations they check)."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from collections import deque
 from itertools import combinations
 
 from dualdense import (DensestResult, DualNetwork, Graph, IrreparableDisconnection, ParseError,
-                       density)
+                       PeelTrace, density)
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = True) -> Graph:
@@ -54,6 +55,40 @@ def random_dual_network(rng: random.Random, n: int, p_phys: float = 0.3,
     return DualNetwork(conceptual, physical, tuple((lab, lab) for lab in labels))
 
 
+def random_partial_dual(rng: random.Random, n: int, p_phys: float = 0.3,
+                        p_shared: float = 0.5, p_extra: float = 0.2) -> DualNetwork:
+    """Random dual network (n >= 2) of n pairs whose correspondence is a
+    random partial bijection: each graph has one to three uncovered nodes,
+    and every pair's id, conceptual index and physical index are three
+    different numbers, so code that reads one index space for another
+    fails.  About ``p_shared`` of the physical edges between covered nodes
+    are also conceptual edges, at least one is, and the other conceptual
+    edges, uncovered nodes included, are drawn with ``p_extra``."""
+    assert n >= 2
+    nc, np_ = n + rng.randint(1, 3), n + rng.randint(1, 3)
+    while True:
+        conc_of, phys_of = rng.sample(range(nc), n), rng.sample(range(np_), n)
+        if all(c != k != p != c for k, (c, p) in enumerate(zip(conc_of, phys_of))):
+            break
+    phys = {(u, v) for u in range(np_) for v in range(u + 1, np_) if rng.random() < p_phys}
+    phys.add(tuple(sorted(phys_of[:2])))
+    conc = {}
+    for k in range(n):
+        for m in range(k + 1, n):
+            pu, pv = sorted((phys_of[k], phys_of[m]))
+            if (pu, pv) in phys and (rng.random() < p_shared or (k, m) == (0, 1)):
+                conc[tuple(sorted((conc_of[k], conc_of[m])))] = 1.0 - rng.random()
+    for u in range(nc):
+        for v in range(u + 1, nc):
+            if (u, v) not in conc and rng.random() < p_extra:
+                conc[(u, v)] = 1.0 - rng.random()
+    physical = Graph([f"p{i}" for i in range(np_)], [(u, v, 1.0) for u, v in sorted(phys)])
+    conceptual = Graph([f"c{i}" for i in range(nc)],
+                       [(u, v, w) for (u, v), w in sorted(conc.items())])
+    return DualNetwork(conceptual, physical,
+                       tuple((f"c{c}", f"p{p}") for c, p in zip(conc_of, phys_of)))
+
+
 def subset_density(g: Graph, members) -> float:
     """Direct 2*W(S)/|S| via explicit edge enumeration."""
     S = set(members)
@@ -79,6 +114,45 @@ def check_peel_order(g: Graph, removal_order, rel_tol: float = 1e-9) -> None:
             assert vol > floor if u < v else vol >= floor, (
                 f"step {step}: removed node {v} (volume {vols[v]}), node {u} has {vol}")
         alive.remove(v)
+
+
+def reference_peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
+    """``peel`` as one heap pop per removed node, isolated nodes included:
+    the slow reference for its zero-volume prefix."""
+    n = g.n
+    if n == 0:
+        raise ValueError("cannot peel an empty graph")
+
+    vols = [math.fsum(w for _, w in g.incident(v)) for v in range(n)]
+    alive = [True] * n
+    remaining = n
+    total = g.total_weight
+    heap: list[tuple[float, int]] = [(vols[v], v) for v in range(n)]
+    heapq.heapify(heap)
+
+    removal_order: list[int] = []
+    densities: list[float] = []
+    while remaining:
+        densities.append(2.0 * total / remaining)
+        while True:
+            val, v = heapq.heappop(heap)
+            if alive[v] and val == vols[v]:
+                break
+        removal_order.append(v)
+        alive[v] = False
+        remaining -= 1
+        total -= vols[v]
+        for u, w in g.incident(v):
+            if alive[u]:
+                vols[u] -= w
+                heapq.heappush(heap, (vols[u], u))
+
+    best = max(densities)
+    tied = [i for i, d in enumerate(densities) if d == best]
+    best_index = tied[-1]
+    trace = PeelTrace(removal_order, densities, best_index, tied)
+    nodes = frozenset(removal_order[best_index:])
+    return DensestResult(nodes, density(g, nodes), exact=False), trace
 
 
 def brute_densest(g: Graph) -> tuple[float, frozenset[int]]:

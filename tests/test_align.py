@@ -12,7 +12,7 @@ from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, Du
                        WeightUnderflow, extract_dcs, gap_weight, result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
-from helpers import bfs_hops, random_dual_network
+from helpers import bfs_hops, random_dual_network, random_partial_dual
 
 
 def dual_from(conc_edges, phys_edges, n):
@@ -147,12 +147,17 @@ def reference_alignment(dn, delta, mode):
     return edges
 
 
-@settings(max_examples=30, deadline=None)
+# random_dual_network maps node i to node i of the other graph and to pair i;
+# random_partial_dual keeps the three index spaces apart.
+GENERATORS = st.sampled_from([random_dual_network, random_partial_dual])
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 15),
        delta=st.sampled_from([1, 2, 3, 4, 5, math.inf]),
-       mode=st.sampled_from(list(GapWeightRule)))
-def test_matches_pairwise_reference(seed, n, delta, mode):
-    dn = random_dual_network(random.Random(seed), n)
+       mode=st.sampled_from(list(GapWeightRule)), generate=GENERATORS)
+def test_matches_pairwise_reference(seed, n, delta, mode, generate):
+    dn = generate(random.Random(seed), n)
     ag = build_alignment_graph(dn, delta=delta, gap_mode=mode)
     expected = reference_alignment(dn, delta, mode)
     actual = {}
@@ -198,10 +203,10 @@ def test_monotone_in_delta(seed, n, delta):
             assert large_edges[key] == small_edges[key]
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 15))
-def test_delta_one_equals_shared_edge_set(seed, n):
-    dn = random_dual_network(random.Random(seed), n)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 15), generate=GENERATORS)
+def test_delta_one_equals_shared_edge_set(seed, n, generate):
+    dn = generate(random.Random(seed), n)
     ag = build_alignment_graph(dn, delta=1)
     expected = set()
     for i in range(dn.pair_count):

@@ -123,6 +123,14 @@ def test_subgraph_keeps_member_order_and_drops_repeats():
     assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
 
 
+@pytest.mark.parametrize("members", [[-1, 1], [3], [0, 1.0], ["a"]])
+def test_subgraph_rejects_members_outside_the_graph(members):
+    # A negative index would otherwise select a node from the end.
+    g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="is not in the graph"):
+        g.subgraph(members)
+
+
 class TestConnectedComponents:
     def test_full_triangle(self):
         assert connected_components(triangle(), {0, 1, 2}) == [[0, 1, 2]]

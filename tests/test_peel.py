@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from dualdense import Graph, peel
 from helpers import (brute_densest, check_peel_order, exact_densest, random_graph,
-                     subset_density)
+                     reference_peel, subset_density)
 
 
 def clique_plus_pendant():
@@ -145,6 +146,45 @@ def test_trace_consistent_with_recomputation(seed, n):
     # Unit weights sum exactly, so ties must go to the lowest index.
     unit = random_graph(random.Random(seed), n, 0.4, weighted=False)
     check_peel_order(unit, peel(unit)[1].removal_order, rel_tol=0.0)
+
+
+def graph_of_shape(rng: random.Random, shape: str, n: int, weighted: bool) -> Graph:
+    """A random graph on n >= 2 nodes: "edgeless"; "isolated", with edges
+    only among a random third of the nodes; or "covered", where every node
+    has an edge."""
+    labels = [f"u{i}" for i in range(n)]
+
+    def weight() -> float:
+        return 1.0 - rng.random() if weighted else 1.0
+
+    if shape == "edgeless":
+        return Graph(labels, [])
+    if shape == "isolated":
+        active = rng.sample(range(n), (n + 2) // 3)
+        return Graph(labels, [(u, v, weight()) for u, v in combinations(active, 2)
+                              if rng.random() < 0.5])
+    edges = {(u, v): weight() for u, v in combinations(range(n), 2) if rng.random() < 0.2}
+    for v in range(n):
+        if not any(v in e for e in edges):
+            u = rng.choice([u for u in range(n) if u != v])
+            edges[(min(u, v), max(u, v))] = weight()
+    return Graph(labels, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=90, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+       shape=st.sampled_from(["isolated", "edgeless", "covered"]), weighted=st.booleans())
+def test_zero_volume_prefix_matches_reference(seed, n, shape, weighted):
+    g = graph_of_shape(random.Random(seed), shape, n, weighted)
+    if shape == "covered":
+        assert all(g.degree(v) for v in range(n))
+    result, trace = peel(g)
+    expected, reference = reference_peel(g)
+    assert trace.removal_order == reference.removal_order
+    assert trace.density_at_prefix == reference.density_at_prefix
+    assert trace.best_prefix_index == reference.best_prefix_index
+    assert trace.tied_prefix_indices == reference.tied_prefix_indices
+    assert result.nodes == expected.nodes
 
 
 @settings(max_examples=20, deadline=None)
