@@ -3,13 +3,16 @@
 Subcommands: ``dcs`` (full pipeline), ``align`` (alignment graph export),
 ``peel`` (densest subgraph of one weighted graph), ``oracle`` (exact
 brute-force result), ``gen`` (planted instance files), ``stats`` (graph
-metrics).  Exit codes: 0 success, 1 infeasible result, 2 input/parse error
-(a per-hop gap weight that underflows included), 3 configuration error.
+metrics).  Each command returns the text it outputs, which ``main`` writes
+to ``--output`` or stdout; ``gen`` writes its own files.  Exit codes: 0
+success, 1 infeasible result, 2 input/parse error (a per-hop gap weight
+that underflows included), 3 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import formats
@@ -27,14 +30,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _load_dual(args) -> DualNetwork:
@@ -56,33 +51,28 @@ def _options(args) -> DcsOptions:
     )
 
 
-def cmd_dcs(args) -> int:
+def cmd_dcs(args) -> str:
     dn = _load_dual(args)
     opts = _options(args)
     result = extract_dcs(dn, opts)
     if args.format == "json":
-        _emit(formats.canonical_json(result_to_doc(result, dn, opts)), args.output)
-    else:
-        c_hl = {dn.pairs[k][0] for k in result.all_nodes}
-        p_hl = {dn.pairs[k][1] for k in result.all_nodes}
-        text = (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
-                + formats.export_dot(dn.physical, name="physical", highlight=p_hl))
-        _emit(text, args.output)
-    return EXIT_OK
+        return formats.canonical_json(result_to_doc(result, dn, opts))
+    c_hl = {dn.pairs[k][0] for k in result.all_nodes}
+    p_hl = {dn.pairs[k][1] for k in result.all_nodes}
+    return (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
+            + formats.export_dot(dn.physical, name="physical", highlight=p_hl))
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> str:
     dn = _load_dual(args)
     ag = build_alignment_graph(dn, parse_delta(args.delta), GapWeightRule(args.gap_mode))
     try:
-        text = formats.export_graph(ag, args.format)
+        return formats.export_graph(ag, args.format)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    _emit(text, args.output)
-    return EXIT_OK
 
 
-def cmd_peel(args) -> int:
+def cmd_peel(args) -> str:
     g = formats.load_graph(args.graph, weighted=not args.unweighted)
     if g.n == 0:
         raise ParseError(f"{args.graph}: graph is empty")
@@ -94,11 +84,10 @@ def cmd_peel(args) -> int:
         "exact": result.exact,
         **trace.to_doc(g.labels),
     }
-    _emit(formats.canonical_json(doc), args.output)
-    return EXIT_OK
+    return formats.canonical_json(doc)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     dn = _load_dual(args)
     result = brute_force_dcs(dn, max_nodes=args.max_oracle_nodes)
     doc = {
@@ -109,13 +98,10 @@ def cmd_oracle(args) -> int:
         "physically_connected": True,
         "exact": True,
     }
-    _emit(formats.canonical_json(doc), args.output)
-    return EXIT_OK
+    return formats.canonical_json(doc)
 
 
-def cmd_gen(args) -> int:
-    import os
-
+def cmd_gen(args) -> None:
     inst = generate_planted(args.nodes, args.planted_size, args.seed,
                             background_weight_cap=args.background_weight_cap,
                             background_edge_prob=args.background_edge_prob)
@@ -125,11 +111,10 @@ def cmd_gen(args) -> int:
     formats.write_edge_list(dn.physical, os.path.join(args.out_dir, "physical.tsv"), False)
     # Edge lists cannot name isolated nodes, so a pair is written only when
     # both of its nodes appear in the written edge lists.
-    with open(os.path.join(args.out_dir, "correspondence.tsv"), "w", encoding="utf-8") as fh:
-        for k, (c, p) in enumerate(dn.pairs):
-            if (dn.conceptual.degree(dn.pair_conceptual[k])
-                    and dn.physical.degree(dn.pair_physical[k])):
-                fh.write(f"{c}\t{p}\n")
+    formats.write_correspondence(
+        (pair for pair, ci, pj in zip(dn.pairs, dn.pair_conceptual, dn.pair_physical)
+         if dn.conceptual.degree(ci) and dn.physical.degree(pj)),
+        os.path.join(args.out_dir, "correspondence.tsv"))
     meta = {
         "seed": inst.seed,
         "nodes": args.nodes,
@@ -138,13 +123,11 @@ def cmd_gen(args) -> int:
         "background_weight_cap": args.background_weight_cap,
         "background_edge_prob": args.background_edge_prob,
     }
-    with open(os.path.join(args.out_dir, "instance.json"), "w", encoding="utf-8") as fh:
-        fh.write(formats.canonical_json(meta))
+    formats.write_text(formats.canonical_json(meta), os.path.join(args.out_dir, "instance.json"))
     print(f"wrote planted instance to {args.out_dir}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> str:
     g = formats.load_graph(args.graph, weighted=not args.unweighted)
     n, m = g.n, g.edge_count
     doc = {
@@ -157,8 +140,7 @@ def cmd_stats(args) -> int:
         "components": len(connected_components(g)),
         "duplicates_collapsed": g.duplicates_collapsed,
     }
-    _emit(formats.canonical_json(doc), args.output)
-    return EXIT_OK
+    return formats.canonical_json(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +215,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if text is not None:
+            formats.write_text(text, args.output)
+        return EXIT_OK
     except (ParseError, WeightUnderflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .graph import Graph, density
+from .graph import Graph, check_ids, density
 
 
 class DualNetwork:
@@ -104,8 +104,4 @@ class DualNetwork:
         return self._pair_graph
 
     def _check(self, members: Iterable[int]) -> set[int]:
-        S = set(members)
-        for k in S:
-            if not (isinstance(k, int) and 0 <= k < self.pair_count):
-                raise ValueError(f"{k!r} is not a correspondence pair id")
-        return S
+        return set(check_ids(members, self.pair_count, "{!r} is not a correspondence pair id"))

@@ -1,5 +1,5 @@
-"""Parsing and serialization: edge lists, correspondence files and graph
-exports.
+"""Every file the program reads or writes: edge lists, correspondence
+files, graph exports and the UTF-8 writer they all go through.
 
 There is one exporter per format (``export_json``, ``export_dot``,
 ``export_graphml``); each takes a plain ``Graph`` or an ``AlignmentGraph``,
@@ -15,16 +15,30 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import IO, Iterable, Iterator, Union
+import sys
+from typing import Iterable, Iterator
 
 from .align import AlignmentGraph, delta_doc
 from .errors import ParseError
 from .graph import Graph
 
-LineSource = Union[IO[str], Iterable[str]]
+
+def _data_lines(source: Iterable[str], usage: str, name: str | None) -> Iterator[tuple]:
+    """``(line number, whitespace-split fields)`` of each line that is not
+    blank or a ``#`` comment.  A line with other than as many fields as
+    ``usage`` names is a ParseError: ``expected N fields (usage), got M``."""
+    expected = len(usage.split())
+    for line_no, raw in enumerate(source, 1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != expected:
+            raise ParseError(f"expected {expected} fields ({usage}), got {len(fields)}",
+                             line_no, name)
+        yield line_no, fields
 
 
-def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None) -> Graph:
+def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = None) -> Graph:
     """Parse an undirected edge list into a Graph.
 
     Unweighted lists get weight 1.0 everywhere; a weight column on an
@@ -32,28 +46,19 @@ def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None)
     are non-positive weights and self-loops.  Duplicate edges collapse to
     the maximum weight (counted on the resulting graph).
     """
-    expected = 3 if weighted else 2
-
     def triples():
-        for line_no, raw in enumerate(source, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != expected:
-                raise ParseError(
-                    f"expected {expected} fields ({'src dst weight' if weighted else 'src dst'}),"
-                    f" got {len(parts)}", line_no, name)
-            src, dst = parts[0], parts[1]
+        for line_no, fields in _data_lines(source, "src dst weight" if weighted else "src dst",
+                                           name):
+            src, dst = fields[0], fields[1]
             if src == dst:
                 raise ParseError(f"self-loop on {src!r}", line_no, name)
             if weighted:
                 try:
-                    w = float(parts[2])
+                    w = float(fields[2])
                 except ValueError:
-                    raise ParseError(f"invalid weight {parts[2]!r}", line_no, name) from None
+                    raise ParseError(f"invalid weight {fields[2]!r}", line_no, name) from None
                 if not math.isfinite(w) or w <= 0:
-                    raise ParseError(f"edge weight must be positive, got {parts[2]}",
+                    raise ParseError(f"edge weight must be positive, got {fields[2]}",
                                      line_no, name)
             else:
                 w = 1.0
@@ -70,31 +75,21 @@ def parse_edge_list(source: LineSource, weighted: bool, name: str | None = None)
         raise ParseError(str(exc), None, name) from None
 
 
-def parse_correspondence(source: LineSource,
+def parse_correspondence(source: Iterable[str],
                          name: str | None = None) -> tuple[tuple[str, str], ...]:
     """Parse ``conceptual physical`` pairs, one per line, into the pair
     tuple ``DualNetwork`` takes; duplicates on either side are rejected
     (the mapping must be one-to-one)."""
-    pairs: list[tuple[str, str]] = []
-    seen_c: set[str] = set()
+    pairs: dict[str, str] = {}
     seen_p: set[str] = set()
-    for line_no, raw in enumerate(source, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'conceptual physical', got {len(parts)} fields",
-                             line_no, name)
-        c, p = parts
-        if c in seen_c:
+    for line_no, (c, p) in _data_lines(source, "conceptual physical", name):
+        if c in pairs:
             raise ParseError(f"duplicate conceptual label {c!r}", line_no, name)
         if p in seen_p:
             raise ParseError(f"duplicate physical label {p!r}", line_no, name)
-        seen_c.add(c)
+        pairs[c] = p
         seen_p.add(p)
-        pairs.append((c, p))
-    return tuple(pairs)
+    return tuple(pairs.items())
 
 
 def _load(path: str, parse, *args):
@@ -114,10 +109,31 @@ def load_correspondence(path: str) -> tuple[tuple[str, str], ...]:
     return _load(path, parse_correspondence)
 
 
+def write_text(text: str, path: str | None = None) -> None:
+    """Write ``text`` as UTF-8 to ``path``, or else to stdout, which gets the
+    same bytes whatever its own encoding (a text stream without a byte
+    buffer, such as ``io.StringIO``, is handed the text itself)."""
+    data = text.encode("utf-8")
+    if path is not None:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        sys.stdout.write(text)
+
+
 def write_edge_list(g: Graph, path: str, weighted: bool) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, w in g.label_edges():
-            fh.write(f"{a}\t{b}\t{w!r}\n" if weighted else f"{a}\t{b}\n")
+    """Write ``g`` as the edge list ``parse_edge_list`` reads, tab separated."""
+    write_text("".join(f"{a}\t{b}\t{w!r}\n" if weighted else f"{a}\t{b}\n"
+                       for a, b, w in g.label_edges()), path)
+
+
+def write_correspondence(pairs: Iterable[tuple[str, str]], path: str) -> None:
+    """Write pairs as the correspondence file ``parse_correspondence`` reads."""
+    write_text("".join(f"{c}\t{p}\n" for c, p in pairs), path)
 
 
 def canonical_json(doc) -> str:
@@ -183,8 +199,6 @@ def export_dot(obj: Graph | AlignmentGraph, name: str | None = None,
 
 
 _GRAPHML_TYPES = {"weight": "double", "kind": "string", "distance": "int"}
-# Characters outside the XML 1.0 ``Char`` production; no escape can carry them.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def export_graphml(obj: Graph | AlignmentGraph) -> str:
@@ -192,9 +206,12 @@ def export_graphml(obj: Graph | AlignmentGraph) -> str:
     that XML 1.0 cannot represent."""
     # Imported here: xml.sax pulls in urllib, http and ssl at start-up.
     from xml.sax.saxutils import escape, quoteattr
+    # Characters outside the XML 1.0 ``Char`` production; no escape can
+    # carry them.  Compiled here, not at import (``re`` caches it).
+    not_xml_char = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
     g, keys, rows = _edge_rows(obj)
     for lab in g.labels:
-        bad = _NOT_XML_CHAR.search(lab)
+        bad = not_xml_char.search(lab)
         if bad:
             raise ValueError(f"GraphML cannot carry the label {lab!r}: "
                              f"XML 1.0 has no character {bad.group()!r}")
@@ -220,8 +237,6 @@ _EXPORTERS = {"json": export_json, "dot": export_dot, "graphml": export_graphml}
 
 def export_graph(obj: Graph | AlignmentGraph, fmt: str) -> str:
     """Dispatch export by format name ('json', 'dot', 'graphml')."""
-    try:
-        exporter = _EXPORTERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown export format {fmt!r}") from None
-    return exporter(obj)
+    if fmt not in _EXPORTERS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    return _EXPORTERS[fmt](obj)

@@ -41,7 +41,8 @@ class Graph:
         collapsed: dict[tuple[int, int], float] = {}
         duplicates = 0
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            # bool cannot be subclassed; ``type`` is the cheapest exact test.
+            if not (0 <= u < n and 0 <= v < n) or type(u) is bool or type(v) is bool:
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop on node {self.labels[u]!r}")
@@ -144,8 +145,7 @@ class Graph:
     def subgraph(self, members: Iterable[int]) -> "Graph":
         """Induced subgraph with labels preserved: node i of the result is
         the i-th distinct member in the order given."""
-        order = list(dict.fromkeys(members))
-        _check_members(self, order)
+        order = list(dict.fromkeys(check_ids(members, self.n)))
         remap = {old: new for new, old in enumerate(order)}
         edges = []
         for old in order:
@@ -158,18 +158,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _check_members(g: Graph, members: Iterable[int]) -> set[int]:
-    S = set(members)
-    for v in S:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise ValueError(f"node {v!r} is not in the graph")
-    return S
+def check_ids(ids: Iterable[int], count: int, error="node {!r} is not in the graph") -> list[int]:
+    """``ids`` as a list, each an int in ``0..count-1``, else ValueError
+    ``error.format(id)``.  Bools are refused: as ints they would act as ids
+    1 and 0, and a set or dict drops ``True`` next to 1 before any check."""
+    ids = list(ids)
+    for v in ids:
+        if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < count):
+            raise ValueError(error.format(v))
+    return ids
 
 
 def density(g: Graph, members: Iterable[int]) -> float:
     """Average per-node induced volume: twice the induced edge weight over
     the node count.  Singletons and edgeless sets have density 0."""
-    S = _check_members(g, members)
+    S = set(check_ids(members, g.n))
     if not S:
         raise ValueError("density of an empty node set is undefined")
     total = math.fsum(w for v in S for u, w in g.incident(v) if u in S)
@@ -293,7 +296,7 @@ def distances_from(g: Graph, s: int,
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:
     """Partition of the member set into maximal mutually reachable blocks
     within the induced subgraph, ordered by smallest contained index."""
-    S = _check_members(g, members) if members is not None else set(range(g.n))
+    S = set(check_ids(members, g.n)) if members is not None else set(range(g.n))
     seen: set[int] = set()
     components: list[list[int]] = []
     for start in sorted(S):
@@ -307,5 +310,5 @@ def connected_components(g: Graph, members: Iterable[int] | None = None) -> list
 
 def is_connected(g: Graph, members: Iterable[int]) -> bool:
     """True for empty sets, singletons, and internally connected sets."""
-    S = _check_members(g, members)
+    S = set(check_ids(members, g.n))
     return len(S) <= 1 or len(reach(g, (min(S),), within=S)) == len(S)

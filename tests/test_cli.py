@@ -357,6 +357,30 @@ def test_module_entry_point(toy_instance):
     assert doc["conceptual_density"] == 2.0
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("command", [
+    ["dcs"], ["dcs", "--format", "dot"], ["align"], ["align", "--format", "graphml"], ["oracle"],
+    ["peel", "--graph"], ["stats", "--graph"]], ids=" ".join)
+def test_stdout_carries_the_output_bytes(tmp_path, command, encoding):
+    # 'é' is outside ASCII and '日' outside Latin-1: whatever encoding
+    # stdout has, it must carry the UTF-8 bytes that --output writes.
+    files = {"c.tsv": "é 日 1.0\n日 x 1.0\né x 0.5\n", "p.tsv": "é 日\n日 x\n",
+             "f.tsv": "é é\n日 日\nx x\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in files}
+    argv = [*command, paths["c.tsv"]] if command[-1] == "--graph" else [
+        *command, "--conceptual", paths["c.tsv"], "--physical", paths["p.tsv"],
+        "--correspondence", paths["f.tsv"]]
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding)
+    proc = subprocess.run([sys.executable, "-m", "dualdense", *argv], capture_output=True,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.read_bytes()
+
+
 def test_cli_import_leaves_out_xml_and_network_modules():
     # xml.sax.saxutils pulls in urllib.request and http.client; only the
     # GraphML exporter needs it, so start-up must not import it.

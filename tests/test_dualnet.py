@@ -127,6 +127,15 @@ class TestInduced:
             with pytest.raises(ValueError, match="is not a correspondence pair id"):
                 dn.physical_nodes(members)
 
+    @pytest.mark.parametrize("members", [[True, 2], [False], [1, True]])
+    def test_bool_pair_id_rejected(self, members):
+        # True and False would act as pair ids 1 and 0, and set([1, True])
+        # keeps only the 1.
+        dn = self.make()
+        for check in (dn.conceptual_nodes, dn.physical_nodes, dn.conceptual_density):
+            with pytest.raises(ValueError, match="^True is not|^False is not"):
+                check(members)
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))

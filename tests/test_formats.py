@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 from xml.etree import ElementTree
 
 import pytest
@@ -11,7 +12,8 @@ from dualdense import (DualNetwork, GapWeightRule, Graph, ParseError,
                        build_alignment_graph)
 from dualdense.formats import (canonical_json, export_dot, export_graph, export_graphml,
                                export_json, load_correspondence, load_graph,
-                               parse_correspondence, parse_edge_list)
+                               parse_correspondence, parse_edge_list, write_correspondence,
+                               write_edge_list, write_text)
 from helpers import graph_from_json, graphs_equal, random_dual_network, random_graph
 
 
@@ -122,6 +124,49 @@ class TestParseCorrespondence:
 
     def test_empty_file_is_empty_correspondence(self):
         assert parse_correspondence(io.StringIO("")) == ()
+
+    @pytest.mark.parametrize("text, message", [
+        ("w1\n", "f.tsv:line 1: expected 2 fields (conceptual physical), got 1"),
+        ("# c\n\nw1 v1 x\n", "f.tsv:line 3: expected 2 fields (conceptual physical), got 3"),
+        ("w1 v1\nw1 v2\n", "f.tsv:line 2: duplicate conceptual label 'w1'"),
+        ("w1 v1\nw2 v1\n", "f.tsv:line 2: duplicate physical label 'v1'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_correspondence(io.StringIO(text), name="f.tsv")
+        assert str(info.value) == message
+
+
+class TestWrite:
+    LABELS = ("a", "é", "日本", "x#y")
+
+    def test_files_read_back(self, tmp_path):
+        g = Graph(self.LABELS, [(0, 1, 0.1), (1, 2, 1e-300), (2, 3, 2.5)])
+        pairs = tuple(zip(self.LABELS, reversed(self.LABELS)))
+        write_edge_list(g, str(tmp_path / "g.tsv"), weighted=True)
+        write_edge_list(g, str(tmp_path / "u.tsv"), weighted=False)
+        write_correspondence(pairs, str(tmp_path / "f.tsv"))
+        assert graphs_equal(load_graph(str(tmp_path / "g.tsv"), weighted=True), g)
+        assert load_graph(str(tmp_path / "u.tsv"), weighted=False).edge_count == 3
+        assert load_correspondence(str(tmp_path / "f.tsv")) == pairs
+        assert (tmp_path / "f.tsv").read_bytes() == "a\tx#y\né\t日本\n日本\té\nx#y\ta\n".encode()
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+    def test_stdout_gets_the_file_bytes(self, tmp_path, monkeypatch, encoding):
+        text = "é 日\nz\n"
+        write_text(text, str(tmp_path / "out"))
+        data = (tmp_path / "out").read_bytes()
+        assert data == text.encode("utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("first", end=" ")  # text still pending in the wrapper comes first
+        write_text(text)
+        assert stdout.buffer.getvalue() == "first ".encode(encoding) + data
+
+    def test_text_stream_without_buffer_gets_the_text(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        write_text("é 日\n")
+        assert sys.stdout.getvalue() == "é 日\n"
 
 
 def test_byte_order_mark_is_not_label_text(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Graph, connected_components, density
+from dualdense import Graph, connected_components, density, is_connected
 from dualdense.graph import distances_from, nearest, reach
 from helpers import (ReadLog, bfs_hops, graphs_equal, least_shortest_path, random_graph,
                      subset_density)
@@ -28,6 +28,18 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(["a", "b"], [(0, 0, 1.0)])
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (-1, 0), (True, 2), (0, True), (False, 1)])
+    def test_endpoint_outside_the_graph_rejected(self, u, v):
+        # A bool is an int, so True and False would otherwise be nodes 1 and 0.
+        with pytest.raises(ValueError) as info:
+            Graph(["a", "b", "c"], [(u, v, 1.0)])
+        assert str(info.value) == f"edge endpoint out of range: ({u}, {v})"
+
+    def test_index_of_unknown_label(self):
+        with pytest.raises(ValueError) as info:
+            triangle().index_of("z")
+        assert str(info.value) == "unknown node label 'z'"
 
     @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
     def test_bad_weight_rejected(self, w):
@@ -129,6 +141,16 @@ def test_subgraph_rejects_members_outside_the_graph(members):
     g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(ValueError, match="is not in the graph"):
         g.subgraph(members)
+
+
+# A bool is an int, so True and False would act as nodes 1 and 0; and a set
+# or dict keeps only 1 of [1, True], so the check must see every member.
+@pytest.mark.parametrize("members", [[True, 2], [0, False], [1, True], [True, 1]])
+@pytest.mark.parametrize("check", [density, connected_components, is_connected, Graph.subgraph])
+def test_bool_members_rejected(check, members):
+    g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match=r"^node (True|False) is not in the graph$"):
+        check(g, members)
 
 
 class TestConnectedComponents:

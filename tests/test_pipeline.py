@@ -210,6 +210,13 @@ class TestRepairConnectivity:
         with pytest.raises(IrreparableDisconnection):
             repair_connectivity(dn, {0, 2})
 
+    @pytest.mark.parametrize("members", [[False, 2], [0, 2, False]])
+    def test_bool_pair_id_rejected(self, members):
+        # False would act as pair id 0 and be joined to 2 through 1.
+        dn = triangle_with_tail()
+        with pytest.raises(ValueError, match="False is not a correspondence pair id"):
+            repair_connectivity(dn, members)
+
     def test_three_components(self):
         labels = [f"n{i}" for i in range(7)]
         phys = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
