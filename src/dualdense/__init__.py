@@ -11,7 +11,7 @@ from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_wei
 from .dualnet import DualNetwork
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError, WeightUnderflow)
-from .graph import Graph, connected_components, density, is_connected
+from .graph import Graph, connected_components, density
 from .oracle import OracleResult, brute_force_dcs
 from .peel import DensestResult, PeelTrace, peel
 from .pipeline import (Connectivity, DcsOptions, DcsResult, extract_dcs,
@@ -26,7 +26,7 @@ __all__ = [
     "DualNetwork",
     "ConfigError", "DualDenseError", "IrreparableDisconnection",
     "NoFeasibleSubgraph", "ParseError", "WeightUnderflow",
-    "Graph", "connected_components", "density", "is_connected",
+    "Graph", "connected_components", "density",
     "OracleResult", "brute_force_dcs",
     "DensestResult", "PeelTrace", "peel",
     "Connectivity", "DcsOptions", "DcsResult", "extract_dcs",

@@ -41,9 +41,10 @@ class Graph:
         collapsed: dict[tuple[int, int], float] = {}
         duplicates = 0
         for u, v, w in edges:
-            # bool cannot be subclassed; ``type`` is the cheapest exact test.
-            if not (0 <= u < n and 0 <= v < n) or type(u) is bool or type(v) is bool:
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+            # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
+            if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
+                    and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
+                raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"self-loop on node {self.labels[u]!r}")
             if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
@@ -306,9 +307,3 @@ def connected_components(g: Graph, members: Iterable[int] | None = None) -> list
         seen |= comp
         components.append(sorted(comp))
     return components
-
-
-def is_connected(g: Graph, members: Iterable[int]) -> bool:
-    """True for empty sets, singletons, and internally connected sets."""
-    S = set(check_ids(members, g.n))
-    return len(S) <= 1 or len(reach(g, (min(S),), within=S)) == len(S)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .graph import Graph, density
@@ -61,36 +62,41 @@ def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     and every other node a positive one, so the zero-volume nodes leave
     first, in index order, in one step that changes no volume and leaves
     the total weight as it is.  The rest are peeled one at a time on a lazy
-    min-heap, with volumes maintained by incremental subtraction.
+    min-heap, with volumes maintained by incremental subtraction.  Each
+    prefix's weight is summed from the tail, over the weight each removal
+    takes with it, so the density curve ends in exactly 0, never below.
     """
     n = g.n
     if n == 0:
         raise ValueError("cannot peel an empty graph")
 
     vols = [math.fsum(row) for row in g._wts]
-    total = g.total_weight
     removal_order = [v for v in range(n) if not vols[v]]
-    densities = [2.0 * total / r for r in range(n, n - len(removal_order), -1)]
     alive = [True] * n
-    remaining = n - len(removal_order)
     heap: list[tuple[float, int]] = [(vols[v], v) for v in range(n) if vols[v]]
     heapq.heapify(heap)
 
-    while remaining:
-        densities.append(2.0 * total / remaining)
+    lost: list[float] = []
+    for _ in range(len(heap)):
         while True:
             val, v = heapq.heappop(heap)
             if alive[v] and val == vols[v]:
                 break
         removal_order.append(v)
         alive[v] = False
-        remaining -= 1
-        total -= vols[v]
+        weight = 0.0
         for u, w in g.incident(v):
             if alive[u]:
+                weight += w
                 vols[u] -= w
                 heapq.heappush(heap, (vols[u], u))
+        lost.append(weight)
 
+    # tail[r - 1] is the weight of the last r nodes; a zero-volume prefix
+    # leaves all of it.
+    tail = list(accumulate(reversed(lost))) or [0.0]
+    densities = [2.0 * tail[-1] / r for r in range(n, len(tail), -1)]
+    densities += [2.0 * w / r for r, w in zip(range(len(tail), 0, -1), reversed(tail))]
     best = max(densities)
     tied = [i for i, d in enumerate(densities) if d == best]
     best_index = tied[-1]

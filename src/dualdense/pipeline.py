@@ -14,8 +14,7 @@ from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_
                     delta_doc)
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import (connected_components, density, distances_from, is_connected, nearest,
-                    reach)
+from .graph import connected_components, density, distances_from, nearest, reach
 from .peel import PeelTrace, peel
 
 
@@ -66,23 +65,19 @@ class DcsResult:
 def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
                                  mode: Connectivity,
                                  delta: float = math.inf) -> bool:
-    """STRICT: the induced physical subgraph on the members is connected
-    (``delta`` is ignored).  RELAXED: members are connected in the auxiliary
-    graph that joins two members whenever their hop distance in the full
-    physical graph is at most delta, which must be a positive integer or
-    infinity.  Empty sets and singletons are vacuously connected.
-    ``extract_dcs`` needs only the STRICT check (its RELAXED selections are
-    connected by construction); RELAXED checks arbitrary member sets."""
+    """RELAXED: members are connected in the auxiliary graph that joins two
+    members whenever their hop distance in the full physical graph is at
+    most delta, a positive integer or infinity.  STRICT, a connected induced
+    physical subgraph, is RELAXED at delta 1 (``delta`` is ignored): members
+    chained one hop apart are a path among the members.  Empty sets and
+    singletons are vacuously connected.  ``extract_dcs`` needs only STRICT
+    (its RELAXED selections are connected by construction)."""
     if not isinstance(mode, Connectivity):
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
-    if mode is Connectivity.RELAXED:
-        delta = check_delta(delta)
+    delta = 1 if mode is Connectivity.STRICT else check_delta(delta)
     phys = dn.physical_nodes(members)
     if len(phys) <= 1:
         return True
-    if mode is Connectivity.STRICT:
-        return is_connected(dn.physical, phys)
-
     if delta == math.inf:
         # Same component: one searcher from the least member reaches all.
         distance = distances_from(dn.physical, min(phys))

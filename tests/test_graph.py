@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Graph, connected_components, density, is_connected
+from dualdense import Graph, connected_components, density
 from dualdense.graph import distances_from, nearest, reach
 from helpers import (ReadLog, bfs_hops, graphs_equal, least_shortest_path, random_graph,
                      subset_density)
@@ -35,6 +35,17 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             Graph(["a", "b", "c"], [(u, v, 1.0)])
         assert str(info.value) == f"edge endpoint out of range: ({u}, {v})"
+
+    @pytest.mark.parametrize("bad", [1.0, "0", None, True])
+    def test_non_int_id_rejected(self, bad):
+        # Edge endpoints follow the id rule of member sets: an int, not a bool.
+        for edge in [(bad, 1, 1.0), (0, bad, 1.0)]:
+            with pytest.raises(ValueError) as info:
+                Graph(["a", "b"], [edge])
+            assert str(info.value) == f"edge endpoint out of range: ({edge[0]!r}, {edge[1]!r})"
+        with pytest.raises(ValueError) as info:
+            density(Graph(["a", "b"], [(0, 1, 1.0)]), [0, bad])
+        assert str(info.value) == f"node {bad!r} is not in the graph"
 
     def test_index_of_unknown_label(self):
         with pytest.raises(ValueError) as info:
@@ -146,7 +157,7 @@ def test_subgraph_rejects_members_outside_the_graph(members):
 # A bool is an int, so True and False would act as nodes 1 and 0; and a set
 # or dict keeps only 1 of [1, True], so the check must see every member.
 @pytest.mark.parametrize("members", [[True, 2], [0, False], [1, True], [True, 1]])
-@pytest.mark.parametrize("check", [density, connected_components, is_connected, Graph.subgraph])
+@pytest.mark.parametrize("check", [density, connected_components, Graph.subgraph])
 def test_bool_members_rejected(check, members):
     g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(ValueError, match=r"^node (True|False) is not in the graph$"):

@@ -165,6 +165,19 @@ def test_relaxed_matches_auxiliary_graph(seed, n, delta):
             == relaxed_connected(dn, members, delta))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 14))
+def test_strict_is_relaxed_at_one_hop(seed, n):
+    # Members chained one physical hop apart form a path among the members,
+    # so STRICT and RELAXED at delta 1 answer the same question.
+    rng = random.Random(seed)
+    dn = partially_covered_dual(rng, n, 0.4, 0.3)
+    members = rng.sample(range(dn.pair_count), rng.randint(0, dn.pair_count))
+    assert (verify_physical_connectivity(dn, members, Connectivity.STRICT)
+            == verify_physical_connectivity(dn, members, Connectivity.RELAXED, 1)
+            == physically_connected(dn, members))
+
+
 def test_relaxed_infinite_delta_stops_at_last_member():
     # Members 0, 2 and 4 of a 1,000-node path are found within five nodes,
     # so the rest of their physical component is never grown.
