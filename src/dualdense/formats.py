@@ -125,15 +125,25 @@ def write_text(text: str, path: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _data_line(*fields: str) -> str:
+    """A tab-separated line that ``_data_lines`` reads back as ``fields``;
+    ValueError if the first field starts with ``#`` (a comment line)."""
+    if fields[0].startswith("#"):
+        raise ValueError(f"label {fields[0]!r} starts with '#' and cannot lead a line")
+    return "\t".join(fields) + "\n"
+
+
 def write_edge_list(g: Graph, path: str, weighted: bool) -> None:
-    """Write ``g`` as the edge list ``parse_edge_list`` reads, tab separated."""
-    write_text("".join(f"{a}\t{b}\t{w!r}\n" if weighted else f"{a}\t{b}\n"
-                       for a, b, w in g.label_edges()), path)
+    """Write ``g`` as the edge list ``parse_edge_list`` reads, tab separated;
+    an endpoint led by ``#`` goes second, where it is data, not a comment."""
+    rows = ((b, a, w) if a.startswith("#") else (a, b, w) for a, b, w in g.label_edges())
+    write_text("".join(_data_line(a, b, repr(w)) if weighted else _data_line(a, b)
+                       for a, b, w in rows), path)
 
 
 def write_correspondence(pairs: Iterable[tuple[str, str]], path: str) -> None:
     """Write pairs as the correspondence file ``parse_correspondence`` reads."""
-    write_text("".join(f"{c}\t{p}\n" for c, p in pairs), path)
+    write_text("".join(_data_line(c, p) for c, p in pairs), path)
 
 
 def canonical_json(doc) -> str:

@@ -98,12 +98,6 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown node label {label!r}") from None
-
     def neighbors(self, u: int) -> Sequence[int]:
         return self._nbrs[u]
 

@@ -33,9 +33,10 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
     ``explored`` counts the visits, singletons included.  Subsets of two or
     more pairs are ranked by conceptual density, then fewer pairs, then the
     least sorted pair ids.  (``extract_dcs`` breaks density ties the other
-    way, toward more pairs.)  A singleton is returned only when the covered
-    physical graph has no edges at all.  Instances with more than
-    ``node_cap`` covered pairs are refused.
+    way, toward more pairs.)  A singleton is returned only when no subset of
+    two or more pairs is scored: no physical edge joins two covered pairs,
+    or ``max_nodes`` is 1.  Instances with more than ``node_cap`` covered
+    pairs are refused.
     """
     n = dn.pair_count
     if n > node_cap:
@@ -80,7 +81,7 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
         nbrs = adj(anchor)
         extend([anchor], 0.0, [u for u in nbrs if u > anchor], {anchor, *nbrs})
 
-    # No physical edge among covered pairs: fall back to the smallest
+    # No covered physical edge, or max_nodes 1: fall back to the smallest
     # singleton, mirroring the pipeline's degenerate behavior.
     nodes = frozenset(-k for k in best[2]) or frozenset((0,))
     return OracleResult(nodes, dn.conceptual_density(nodes), explored)

@@ -32,10 +32,6 @@ class PeelTrace:
     best_prefix_index: int
     tied_prefix_indices: list[int] = field(default_factory=list)
 
-    @property
-    def best_density(self) -> float:
-        return self.density_at_prefix[self.best_prefix_index]
-
     def to_doc(self, labels: Sequence[str]) -> dict:
         """JSON-ready fields of the trace, with nodes named by ``labels``;
         ``peel`` and ``dcs`` output share this serialization."""

@@ -14,7 +14,7 @@ from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_
                     delta_doc)
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import connected_components, density, distances_from, nearest, reach
+from .graph import connected_components, density, nearest, reach
 from .peel import PeelTrace, peel
 
 
@@ -75,16 +75,12 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     if not isinstance(mode, Connectivity):
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
     delta = 1 if mode is Connectivity.STRICT else check_delta(delta)
-    phys = dn.physical_nodes(members)
-    if len(phys) <= 1:
+    remaining = dn.physical_nodes(members)
+    if not remaining:
         return True
-    if delta == math.inf:
-        # Same component: one searcher from the least member reaches all.
-        distance = distances_from(dn.physical, min(phys))
-        return all(distance(p) is not None for p in phys)
     # Breadth-first search of the auxiliary graph, one layer per ball: the
-    # members within delta hops of the previous layer form the next one.
-    remaining = set(phys)
+    # members within delta hops of the previous layer form the next one.  At
+    # delta infinity the first ball is the whole physical component.
     layer = {remaining.pop()}
     while layer and remaining:
         layer = reach(dn.physical, layer, delta) & remaining

@@ -83,7 +83,7 @@ class TestDualNetwork:
         dn = DualNetwork(c, p, (("w2", "v1"), ("w1", "v3")))
         assert dn.pair_count == 2
         assert dn.pairs[0] == ("w2", "v1")
-        assert dn.pair_of_conceptual[c.index_of("w1")] == 1
+        assert dn.pair_of_conceptual[c.labels.index("w1")] == 1
         assert dn.pair_graph.labels == ("v1", "v3")
 
 

@@ -40,8 +40,8 @@ class TestParseEdgeList:
     def test_weighted_with_comment(self):
         g = parse_edge_list(io.StringIO("a b 0.5\n# comment\nb c 0.25\n"), weighted=True)
         assert g.edge_count == 2
-        assert g.weight(g.index_of("a"), g.index_of("b")) == 0.5
-        assert g.weight(g.index_of("b"), g.index_of("c")) == 0.25
+        assert g.weight(g.labels.index("a"), g.labels.index("b")) == 0.5
+        assert g.weight(g.labels.index("b"), g.labels.index("c")) == 0.25
 
     def test_negative_weight_cites_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -150,6 +150,22 @@ class TestWrite:
         assert load_graph(str(tmp_path / "u.tsv"), weighted=False).edge_count == 3
         assert load_correspondence(str(tmp_path / "f.tsv")) == pairs
         assert (tmp_path / "f.tsv").read_bytes() == "a\tx#y\né\t日本\n日本\té\nx#y\ta\n".encode()
+
+    def test_hash_led_label_written_second(self, tmp_path):
+        # The reader takes "#x" as a second field; as a first it is a comment.
+        g = parse_edge_list(["a #x 1.0", "b #x 2.0"], weighted=True)
+        for weighted in (True, False):
+            write_edge_list(g, str(tmp_path / "g.tsv"), weighted)
+            back = load_graph(str(tmp_path / "g.tsv"), weighted)
+            assert sorted(back.label_edges()) == sorted(
+                (a, b, w if weighted else 1.0) for a, b, w in g.label_edges())
+
+    def test_line_led_by_hash_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="'#y' starts with '#'"):
+            write_edge_list(Graph(["#x", "#y"], [(0, 1, 1.0)]), str(tmp_path / "g.tsv"), True)
+        with pytest.raises(ValueError, match="'#w' starts with '#'"):
+            write_correspondence([("a", "b"), ("#w", "v")], str(tmp_path / "f.tsv"))
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
     def test_stdout_gets_the_file_bytes(self, tmp_path, monkeypatch, encoding):

@@ -19,7 +19,7 @@ class TestConstruction:
     def test_labels_bijective(self):
         g = triangle()
         assert g.labels == ("a", "b", "c")
-        assert [g.index_of(lab) for lab in g.labels] == [0, 1, 2]
+        assert [g.labels.index(lab) for lab in g.labels] == [0, 1, 2]
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="duplicate node label"):
@@ -46,11 +46,6 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             density(Graph(["a", "b"], [(0, 1, 1.0)]), [0, bad])
         assert str(info.value) == f"node {bad!r} is not in the graph"
-
-    def test_index_of_unknown_label(self):
-        with pytest.raises(ValueError) as info:
-            triangle().index_of("z")
-        assert str(info.value) == "unknown node label 'z'"
 
     @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
     def test_bad_weight_rejected(self, w):
@@ -197,7 +192,7 @@ def reference_depths(g, sources, cap, within=None):
     """Multi-source hop depths within cap, from per-pair helpers.bfs_hops
     (on the induced subgraph when ``within`` is given)."""
     h = g if within is None else g.subgraph(within)
-    to_h = {v: h.index_of(g.labels[v]) for v in (within if within is not None else range(g.n))}
+    to_h = {v: h.labels.index(g.labels[v]) for v in (within if within is not None else range(g.n))}
     out = {}
     for v in to_h:
         ds = [d for s in sources if (d := bfs_hops(h, to_h[s], to_h[v])) is not None]

@@ -51,7 +51,7 @@ class TestPeel:
         assert len(trace.removal_order) == g.n
         assert sorted(trace.removal_order) == list(range(g.n))
         assert len(trace.density_at_prefix) == g.n
-        assert trace.best_density == max(trace.density_at_prefix)
+        assert trace.density_at_prefix[trace.best_prefix_index] == max(trace.density_at_prefix)
         assert trace.removal_order[0] == 4  # pendant has minimum vol
         assert set(trace.removal_order[trace.best_prefix_index:]) == set(result.nodes)
 
@@ -143,7 +143,8 @@ def test_trace_consistent_with_recomputation(seed, n):
     for i, d in enumerate(trace.density_at_prefix):
         suffix = trace.removal_order[i:]
         assert d == pytest.approx(subset_density(g, suffix), rel=1e-9, abs=1e-12)
-    assert result.density == pytest.approx(trace.best_density, rel=1e-9, abs=1e-12)
+    assert result.density == pytest.approx(trace.density_at_prefix[trace.best_prefix_index],
+                                           rel=1e-9, abs=1e-12)
     # Unit weights sum exactly, so ties must go to the lowest index.
     unit = random_graph(random.Random(seed), n, 0.4, weighted=False)
     check_peel_order(unit, peel(unit)[1].removal_order, rel_tol=0.0)
