@@ -10,9 +10,11 @@ reachability; under the conceptual rule, where a gap weighs w_c at any
 distance, physical component labels then decide it with no search.
 Otherwise gap distances come from capped bidirectional searches
 (``graph.distances_from``): the candidates of one conceptual node share its
-physical node's side of the search, and each grows only its own side from
-scratch, so the work per candidate grows with the balls of radius about
-delta/2 around its endpoints rather than with one ball of radius delta.
+physical node's side of the search, which grows first, to radius about
+delta/2, unless a target's side is much smaller; each candidate then grows
+only its own side from scratch, so the work per candidate grows with the
+balls of radius about delta/2 around its endpoints rather than with one
+ball of radius delta.
 """
 
 from __future__ import annotations
@@ -150,19 +152,23 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
         component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
         label = [component[p] for p in dn.pair_physical]
-        edges = [(ki, kj, w) for ki, kj, w in dn.candidates() if label[ki] == label[kj]]
-        return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode)
+        edges = [(ki, kj, w) if ki < kj else (kj, ki, w)
+                 for ki, kj, w in dn.candidates() if label[ki] == label[kj]]
+        return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode)
     edges, kinds = _search(dn, delta, gap_mode)
-    return AlignmentGraph(Graph(labels, edges), dn, delta, gap_mode, kinds)
+    return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
 
 
 def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
-    """The searcher build's edge list and kinds.
+    """The searcher build's edge list, each edge ``(u, v, w)`` with u < v,
+    and kinds.
 
     Candidates come grouped by source, so each new source physical node
     gets one set of its physical neighbours, which decides every match of
     its candidates by membership, and, only once a candidate of it is not
-    a match, one ``distances_from`` searcher for the gap distances.
+    a match, one ``distances_from`` searcher for the gap distances.  Every
+    candidate is a distinct conceptual edge and every weight is at most
+    its conceptual weight, so the edges need none of ``Graph``'s checks.
     """
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
@@ -173,19 +179,24 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
         if pi != source:
             source, adjacent, distance = pi, set(physical.neighbors(pi)), None
         if pj in adjacent:
-            edges.append((ki, kj, w))
-            kinds[(ki, kj) if ki < kj else (kj, ki)] = (MATCH, 1)
+            kind = (MATCH, 1)
         elif delta >= 2:
             # Not adjacent, so any distance within delta is a gap.
             if distance is None:
                 distance = distances_from(physical, pi, delta)
             d = distance(pj)
-            if d is not None:
-                weight = gap_weight(gap_mode, w, d)
-                if not weight:
-                    raise WeightUnderflow(
-                        f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
-                        f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
-                edges.append((ki, kj, weight))
-                kinds[(ki, kj) if ki < kj else (kj, ki)] = (GAP, d)
+            if d is None:
+                continue
+            weight = gap_weight(gap_mode, w, d)
+            if not weight:
+                raise WeightUnderflow(
+                    f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
+                    f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
+            kind, w = (GAP, d), weight
+        else:
+            continue
+        if ki > kj:
+            ki, kj = kj, ki
+        edges.append((ki, kj, w))
+        kinds[ki, kj] = kind
     return edges, kinds

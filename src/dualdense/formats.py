@@ -127,7 +127,11 @@ def write_text(text: str, path: str | None = None) -> None:
 
 def _data_line(*fields: str) -> str:
     """A tab-separated line that ``_data_lines`` reads back as ``fields``;
-    ValueError if the first field starts with ``#`` (a comment line)."""
+    ValueError if a field is empty or holds whitespace (it would not read
+    back as one field), or if the first starts with ``#`` (a comment line)."""
+    for field in fields:
+        if field.split() != [field]:
+            raise ValueError(f"label {field!r} is empty or holds whitespace and cannot be a field")
     if fields[0].startswith("#"):
         raise ValueError(f"label {fields[0]!r} starts with '#' and cannot lead a line")
     return "\t".join(fields) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
@@ -80,6 +81,37 @@ class Graph:
         self.duplicates_collapsed = duplicates
 
     @classmethod
+    def _from_rows(cls, labels: Sequence[str], nbrs: list[list[int]],
+                   wts: list[list[float]]) -> "Graph":
+        """A graph over adjacency rows, sorted by neighbor, that were built
+        from data already keeping every rule ``__init__`` checks, so none is
+        checked again."""
+        g = cls.__new__(cls)
+        g.labels = tuple(labels)
+        g._index = dict(zip(g.labels, range(len(g.labels))))
+        g._nbrs = nbrs
+        g._wts = wts
+        g.edge_count = sum(map(len, nbrs)) // 2
+        # Each weight is in two rows; halving their exact sum is exact.
+        g.total_weight = math.fsum(chain.from_iterable(wts)) / 2
+        g.duplicates_collapsed = 0
+        return g
+
+    @classmethod
+    def _from_edges(cls, labels: Sequence[str], edges: Iterable[IndexEdge]) -> "Graph":
+        """``Graph(labels, edges)`` for edges ``(u, v, w)`` with u < v, each
+        pair once, that already keep every rule ``__init__`` checks."""
+        nbrs: list[list[int]] = [[] for _ in labels]
+        wts: list[list[float]] = [[] for _ in labels]
+        # As in ``__init__``, sorted pairs leave every row sorted.
+        for u, v, w in sorted(edges):
+            nbrs[u].append(v)
+            wts[u].append(w)
+            nbrs[v].append(u)
+            wts[v].append(w)
+        return cls._from_rows(labels, nbrs, wts)
+
+    @classmethod
     def from_label_edges(cls, edges: Iterable[LabelEdge]) -> "Graph":
         """Build a graph from ``(src_label, dst_label, weight)`` triples.
 
@@ -141,13 +173,17 @@ class Graph:
         """Induced subgraph with labels preserved: node i of the result is
         the i-th distinct member in the order given."""
         order = list(dict.fromkeys(check_ids(members, self.n)))
-        remap = {old: new for new, old in enumerate(order)}
-        edges = []
-        for old in order:
-            for v, w in self.incident(old):
-                if v > old and v in remap:
-                    edges.append((remap[old], remap[v], w))
-        return Graph([self.labels[i] for i in order], edges)
+        new_id = {old: new for new, old in enumerate(order)}.get
+        nbrs: list[list[int]] = [[] for _ in order]
+        wts: list[list[float]] = [[] for _ in order]
+        # Each member joins its member neighbors' rows in member order, so
+        # every row comes out sorted with no sort.
+        for new, old in enumerate(order):
+            for v, w in zip(map(new_id, self._nbrs[old]), self._wts[old]):
+                if v is not None:
+                    nbrs[v].append(new)
+                    wts[v].append(w)
+        return Graph._from_rows([self.labels[i] for i in order], nbrs, wts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -229,6 +265,12 @@ def nearest(g: Graph, sources: Iterable[int],
     return None
 
 
+# The "quarter" of ``distances_from``'s growth rule.  Swept on the gap-d4
+# bench workload and a 20k-node instance, 4 and 8 read the same rows and 2
+# a few more; from 16 on, a hub's capped searcher reads its leaves' rows.
+_SOURCE_BIAS = 4
+
+
 def distances_from(g: Graph, s: int,
                    cap: float = math.inf) -> Callable[[int], Optional[int]]:
     """Searcher answering hop distances from s: it maps a target t to
@@ -240,15 +282,20 @@ def distances_from(g: Graph, s: int,
     over the outer layer's adjacency lists each; a target inside the ball
     is answered by its layer, and one whose adjacency row meets the ball
     lies one layer beyond it.  Farther targets grow their own side from
-    scratch: the side with the smaller outer layer grows by one layer, and
-    the first new layer that meets the other side's ball gives the
-    distance.  On the last step ``cap`` allows, the target side only tests
+    scratch: each step grows one side by one layer, and the first new layer
+    that meets the other side's ball gives the distance.  Until s's side,
+    which later targets reuse, reaches radius ``ceil(cap / 2)``, it is the
+    side that grows unless the target's outer layer is under a quarter of
+    its own; past that radius, and always at ``cap`` = inf, the side with
+    the smaller outer layer grows.  At ``cap`` <= 2 the two rules pick the
+    same side.  On the last step ``cap`` allows, the target side only tests
     its outer layer's rows against the source ball.  An empty source layer
     marks s's component as exhausted, and an empty target layer t's.
     """
     nbrs = g._nbrs
     layers = [{s}]
     ball = {s}
+    half = (cap + 1) // 2 if cap < math.inf else 0  # ceil(cap / 2)
 
     def distance(t: int) -> Optional[int]:
         if t in ball:
@@ -263,7 +310,8 @@ def distances_from(g: Graph, s: int,
         far, far_layer = {t, *row}, row
         d += 1
         while d < cap:
-            if len(far_layer) < len(layers[-1]):
+            if (len(far_layer) * _SOURCE_BIAS if len(layers) <= half
+                    else len(far_layer)) < len(layers[-1]):
                 if d + 1 == cap:
                     return d + 1 if any(not ball.isdisjoint(nbrs[x]) for x in far_layer) else None
                 layer = set().union(*[nbrs[x] for x in far_layer]) - far

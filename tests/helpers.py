@@ -349,6 +349,18 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
     return set(a.labels) == set(b.labels) and edge_map(a) == edge_map(b)
 
 
+def assert_same_rows(g: Graph, ref: Graph) -> None:
+    """``g`` is exactly ``ref``: labels, sorted rows, weights, edge count
+    and total weight, each by ``==``; and ``g`` collapsed no duplicate."""
+    assert g.labels == ref.labels
+    assert [list(g.neighbors(u)) for u in range(g.n)] == \
+        [list(ref.neighbors(u)) for u in range(ref.n)]
+    assert [list(g.incident(u)) for u in range(g.n)] == \
+        [list(ref.incident(u)) for u in range(ref.n)]
+    assert (g.edge_count, g.total_weight) == (ref.edge_count, ref.total_weight)
+    assert g.duplicates_collapsed == 0
+
+
 def graph_from_json(text: str, name: str | None = None) -> Graph:
     """Read back a plain graph written by ``formats.export_json``."""
     try:

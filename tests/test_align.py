@@ -12,7 +12,7 @@ from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, Du
                        WeightUnderflow, extract_dcs, gap_weight, result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
-from helpers import bfs_hops, random_dual_network, random_partial_dual
+from helpers import assert_same_rows, bfs_hops, random_dual_network, random_partial_dual
 
 
 def dual_from(conc_edges, phys_edges, n):
@@ -228,6 +228,24 @@ def test_connectivity_transfer(seed, n, delta):
     for u, v, _ in ag.graph.edges():
         d = bfs_hops(dn.physical, dn.pair_physical[u], dn.pair_physical[v])
         assert d is not None and d <= delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 14), parts=st.integers(1, 3))
+def test_alignment_graph_matches_rebuilt_graph(seed, n, parts):
+    # The graph built without ``Graph``'s checks equals ``Graph`` built from
+    # the candidates its kinds keep, on dual networks with isolated and
+    # uncovered nodes and three distinct index spaces.
+    rng = random.Random(seed)
+    for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
+        for delta, rule in product((1, 2, 3, 4, math.inf), GapWeightRule):
+            ag = build_alignment_graph(dn, delta, rule)
+            edges = [(ki, kj, w if ag.kind_of(ki, kj)[0] == MATCH
+                      else gap_weight(rule, w, ag.kind_of(ki, kj)[1]))
+                     for ki, kj, w in dn.candidates()
+                     if ((ki, kj) if ki < kj else (kj, ki)) in ag.kinds]
+            labels = [composite_label(c, p) for c, p in dn.pairs]
+            assert_same_rows(ag.graph, Graph(labels, edges))
 
 
 def split_dual(rng, n, parts):

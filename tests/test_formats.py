@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 import sys
 from xml.etree import ElementTree
 
@@ -165,6 +166,20 @@ class TestWrite:
             write_edge_list(Graph(["#x", "#y"], [(0, 1, 1.0)]), str(tmp_path / "g.tsv"), True)
         with pytest.raises(ValueError, match="'#w' starts with '#'"):
             write_correspondence([("a", "b"), ("#w", "v")], str(tmp_path / "f.tsv"))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("label", ["a b", "", "a\tb", " a", "a\n", "a\u00a0b", "a\x1cb"])
+    def test_label_that_is_not_one_field_refused(self, tmp_path, label):
+        # The reader splits lines on whitespace, so such a label would come
+        # back as no field or as two.
+        g = Graph([label, "c"], [(0, 1, 1.0)])
+        message = f"label {label!r} is empty or holds whitespace"
+        for weighted in (True, False):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_edge_list(g, str(tmp_path / "g.tsv"), weighted)
+        for pair in ((label, "p"), ("c", label)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_correspondence([("x", "y"), pair], str(tmp_path / "f.tsv"))
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])

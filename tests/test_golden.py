@@ -20,6 +20,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,9 @@ CASES = {
        for fmt in ("json", "dot", "graphml")
        for delta in ("2", "inf")
        for rule in ("per-hop", "conceptual")},
+    # The searcher's growth rule only shapes finite delta above 2.
+    **{f"align-json-{delta}-per-hop": ("align", *DUAL, "--format", "json", "--delta", delta)
+       for delta in ("3", "4")},
     "oracle": ("oracle", *DUAL),
     "peel-conceptual": ("peel", "--graph", "conceptual.tsv"),
     "peel-physical": ("peel", "--graph", "physical.tsv", "--unweighted"),
@@ -76,6 +81,21 @@ def test_golden_output(instance, case):
     code, stdout, stderr = run_case(instance, case)
     assert [code, stderr] == status[f"{instance}/{case}"]
     assert stdout == _read(GOLDEN / instance / f"{case}.out")
+
+
+def test_output_does_not_depend_on_string_hashing():
+    # One process keeps one string-hash seed, so only fresh interpreters
+    # with different seeds show output that follows set or dict order.
+    src = str(GOLDEN.parent.parent / "src")
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "dualdense", "dcs", *DUAL],
+                              cwd=GOLDEN / "gen", env=env, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode("utf-8") == _read(GOLDEN / "gen" / "dcs-json.out")
 
 
 def regenerate() -> None:

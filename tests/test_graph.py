@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density
 from dualdense.graph import distances_from, nearest, reach
-from helpers import (ReadLog, bfs_hops, graphs_equal, least_shortest_path, random_graph,
-                     subset_density)
+from helpers import (ReadLog, assert_same_rows, bfs_hops, graphs_equal, least_shortest_path,
+                     random_graph, subset_density)
 
 
 def triangle(w=1.0):
@@ -139,6 +139,28 @@ def test_subgraph_keeps_member_order_and_drops_repeats():
     assert h.labels == ("d", "b", "a")
     assert list(h.edges()) == [(0, 1, 2.0), (1, 2, 0.5)]
     assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_subgraph_matches_rebuilt_graph(seed):
+    # Weights span many magnitudes, so the total is exact only if summed
+    # exactly; low edge probabilities leave isolated nodes, and member
+    # lists may be empty, repeat members, or list every node.
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    edges = [(u, v, rng.choice([1.0 - rng.random(), 1e300 * rng.random() + 1e-300,
+                                rng.random() * 1e-300 + 5e-324, 0.1]))
+             for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random() * 0.6]
+    g = Graph([f"v{i}" for i in range(n)], edges)
+    for members in ([], rng.choices(range(n), k=rng.randint(1, 2 * n)),
+                    rng.sample(range(n), n), [rng.randrange(n)] * 3):
+        order = list(dict.fromkeys(members))
+        new = {old: i for i, old in enumerate(order)}
+        expected = Graph([g.labels[i] for i in order],
+                         [(new[u], new[v], w) for u, v, w in g.edges()
+                          if u in new and v in new])
+        assert_same_rows(g.subgraph(members), expected)
 
 
 @pytest.mark.parametrize("members", [[-1, 1], [3], [0, 1.0], ["a"]])
@@ -317,6 +339,24 @@ def test_hub_searcher_reads_no_leaf_row():
     capped = distances_from(g, 0, 4)
     assert [capped(t) for t in (6, 5, 4, 37)] == [None, None, 4, None]
     assert g._nbrs.read.isdisjoint(leaves)
+
+
+def test_capped_source_side_grows_first():
+    # A spider: source 0 has three legs 0-a-b-c, each target c three hops
+    # away.  Its first layer (3 nodes) outnumbers a target's (1 node) by
+    # less than 4, so at cap 4 the source side, not the target's, grows to
+    # radius 2; every later target then meets that ball through its own
+    # row, and reads no other.
+    legs = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    g = Graph([f"v{i}" for i in range(10)],
+              [(u, v, 1.0) for a, b, c in legs for u, v in ((0, a), (a, b), (b, c))])
+    g._nbrs = ReadLog(g._nbrs)
+    distance = distances_from(g, 0, 4)
+    assert distance(3) == 3
+    for _, _, c in legs[1:]:
+        g._nbrs.read.clear()
+        assert distance(c) == 3
+        assert g._nbrs.read == {c}
 
 
 def test_exhausted_source_reads_no_row():
