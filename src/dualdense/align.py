@@ -5,7 +5,10 @@ nodes (one per correspondence pair).  For every conceptually adjacent pair
 of composite nodes: physical adjacency yields a Match edge carrying the
 conceptual weight; a physical hop distance d with 2 <= d <= delta yields a
 Gap(d) edge weighted by the selected gap rule; anything farther yields no
-edge.  delta = infinity turns the distance test into same-component
+edge.  Three builds serve the three cases.  At delta = 1 no gap edge can
+exist, so the alignment graph is the dual network's shared edge set
+(``DualNetwork.shared_edges``), found by set intersections with no search.
+delta = infinity turns the distance test into same-component
 reachability; under the conceptual rule, where a gap weighs w_c at any
 distance, physical component labels then decide it with no search.
 Otherwise gap distances come from capped bidirectional searches
@@ -132,23 +135,30 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     One scan over the conceptual edges visits every candidate: an edge
     whose endpoints are both covered by the correspondence (every alignment
     edge requires conceptual adjacency, so scanning all composite-node
-    pairs is never needed).  At delta = infinity under the conceptual rule
-    one labelling pass over the physical components decides them all: a
+    pairs is never needed).  At delta = 1 the candidates whose physical
+    nodes are adjacent are the edges, all matches: ``dn.shared_edges()``
+    lists them.  At delta = infinity under the conceptual rule one
+    labelling pass over the physical components decides them all: a
     candidate is an edge of weight w_c exactly when both its physical nodes
-    share a label.  Otherwise a physically adjacent candidate is a match
-    edge; any other, when delta >= 2, gets its hop distance capped at delta
-    and becomes a gap edge if that distance exists.  The scan yields each
-    conceptual node's candidates together, so one set of physical
-    neighbours per source physical node decides all their matches, and one
-    ``distances_from`` searcher per source answers all their distances,
-    keeping the source's layers between its candidates; memory stays that
-    of the two graphs plus one source's layers and one target's search.
+    share a label.  Otherwise ``_search`` decides them: a physically
+    adjacent candidate is a match edge; any other gets its hop distance
+    capped at delta and becomes a gap edge if that distance exists.  The
+    scan yields each conceptual node's candidates together, so one set of
+    physical neighbours per source physical node decides all their matches,
+    and one ``distances_from`` searcher per source answers all their
+    distances, keeping the source's layers between its candidates; memory
+    stays that of the two graphs plus one source's layers and one target's
+    search.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
         raise ConfigError(f"unknown gap weight rule: {gap_mode!r}")
 
     labels = [composite_label(c, p) for c, p in dn.pairs]
+    if delta == 1:
+        edges = dn.shared_edges()
+        kinds = dict.fromkeys([(ki, kj) for ki, kj, _ in edges], (MATCH, 1))
+        return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
     if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
         component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
         label = [component[p] for p in dn.pair_physical]
@@ -161,7 +171,7 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
 
 def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
     """The searcher build's edge list, each edge ``(u, v, w)`` with u < v,
-    and kinds.
+    and kinds, for delta >= 2.
 
     Candidates come grouped by source, so each new source physical node
     gets one set of its physical neighbours, which decides every match of
@@ -180,7 +190,7 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
             source, adjacent, distance = pi, set(physical.neighbors(pi)), None
         if pj in adjacent:
             kind = (MATCH, 1)
-        elif delta >= 2:
+        else:
             # Not adjacent, so any distance within delta is a gap.
             if distance is None:
                 distance = distances_from(physical, pi, delta)
@@ -193,8 +203,6 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
                     f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
                     f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
             kind, w = (GAP, d), weight
-        else:
-            continue
         if ki > kj:
             ki, kj = kj, ki
         edges.append((ki, kj, w))

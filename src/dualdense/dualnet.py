@@ -3,6 +3,7 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -93,6 +94,39 @@ class DualNetwork:
                 for cj, w in self.conceptual.incident(ci):
                     if cj > ci and pair_of[cj] is not None:
                         yield ki, pair_of[cj], w
+
+    def shared_edges(self) -> list[tuple[int, int, float]]:
+        """``(pair id, pair id, conceptual weight)``, lesser id first, for
+        each candidate whose two physical nodes are adjacent: the edges the
+        two graphs share, in ``candidates()`` order.
+
+        One set intersection per covered conceptual node, of its physical
+        node's row with the physical nodes of its larger conceptual
+        neighbours, decides all of that node's candidates; only a node with
+        a hit walks its candidates one by one."""
+        conceptual, physical = self.conceptual, self.physical
+        # Indexed by conceptual node, None where uncovered.
+        pair_of: list[int | None] = [None] * conceptual.n
+        physical_of: list[int | None] = [None] * conceptual.n
+        for k, (ci, pi) in enumerate(zip(self.pair_conceptual, self.pair_physical)):
+            pair_of[ci] = k
+            physical_of[ci] = pi
+        to_physical = physical_of.__getitem__
+        edges: list[tuple[int, int, float]] = []
+        for ci, ki in enumerate(pair_of):
+            if ki is None:
+                continue
+            row = conceptual.neighbors(ci)
+            start = bisect_right(row, ci)
+            # None, for an uncovered neighbour, is in no physical row.
+            hits = set(physical.neighbors(physical_of[ci])).intersection(
+                map(to_physical, row[start:]))
+            if hits:
+                for cj, w in islice(conceptual.incident(ci), start, None):
+                    if physical_of[cj] in hits:
+                        kj = pair_of[cj]
+                        edges.append((ki, kj, w) if ki < kj else (kj, ki, w))
+        return edges
 
     @property
     def pair_graph(self) -> Graph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
@@ -24,6 +25,10 @@ class Graph:
     ``i`` and the label->index mapping is bijective.  Duplicate edges in the
     input collapse to the maximum weight and are counted in
     ``duplicates_collapsed``.
+
+    Node u's neighbours and their weights are two parallel rows, sorted by
+    neighbor index.  Rows are only read once built: a node with no edge may
+    share one immutable empty row with the other edgeless nodes.
     """
 
     __slots__ = ("labels", "_index", "_nbrs", "_wts", "edge_count",
@@ -81,8 +86,8 @@ class Graph:
         self.duplicates_collapsed = duplicates
 
     @classmethod
-    def _from_rows(cls, labels: Sequence[str], nbrs: list[list[int]],
-                   wts: list[list[float]]) -> "Graph":
+    def _from_rows(cls, labels: Sequence[str], nbrs: list[Sequence[int]],
+                   wts: list[Sequence[float]]) -> "Graph":
         """A graph over adjacency rows, sorted by neighbor, that were built
         from data already keeping every rule ``__init__`` checks, so none is
         checked again."""
@@ -100,11 +105,24 @@ class Graph:
     @classmethod
     def _from_edges(cls, labels: Sequence[str], edges: Iterable[IndexEdge]) -> "Graph":
         """``Graph(labels, edges)`` for edges ``(u, v, w)`` with u < v, each
-        pair once, that already keep every rule ``__init__`` checks."""
-        nbrs: list[list[int]] = [[] for _ in labels]
-        wts: list[list[float]] = [[] for _ in labels]
+        pair once, that already keep every rule ``__init__`` checks.
+
+        When the edges name fewer endpoints, repeats counted, than there
+        are nodes, only endpoints get rows of their own lists, and every
+        edgeless node shares the empty tuple, which no node can grow: a
+        graph with few edges over many nodes then allocates few objects for
+        the cyclic collector to count and scan.  Otherwise finding the
+        endpoints would cost more than it saves, and every node gets lists."""
+        edges = sorted(edges)
+        n = len(labels)
+        nbrs: list[Sequence[int]] = [()] * n
+        wts: list[Sequence[float]] = [()] * n
+        for u in ({*map(itemgetter(0), edges), *map(itemgetter(1), edges)}
+                  if 2 * len(edges) < n else range(n)):
+            nbrs[u] = []
+            wts[u] = []
         # As in ``__init__``, sorted pairs leave every row sorted.
-        for u, v, w in sorted(edges):
+        for u, v, w in edges:
             nbrs[u].append(v)
             wts[u].append(w)
             nbrs[v].append(u)

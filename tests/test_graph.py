@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import Graph, connected_components, density
+from dualdense import Graph, connected_components, density, peel
+from dualdense.formats import export_json
 from dualdense.graph import distances_from, nearest, reach
 from helpers import (ReadLog, assert_same_rows, bfs_hops, graphs_equal, least_shortest_path,
                      random_graph, subset_density)
@@ -139,6 +140,45 @@ def test_subgraph_keeps_member_order_and_drops_repeats():
     assert h.labels == ("d", "b", "a")
     assert list(h.edges()) == [(0, 1, 2.0), (1, 2, 0.5)]
     assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_edgeless_rows_read_like_rebuilt_graph(seed):
+    # Few edges over many nodes, none at the first or last node: every
+    # reader sees the shared empty rows as ``Graph``'s own empty lists.
+    rng = random.Random(seed)
+    n = rng.randint(3, 40)
+    inner = range(1, n - 1)
+    pairs = {tuple(sorted(rng.sample(inner, 2))) for _ in range(rng.randint(0, n // 4))
+             if len(inner) >= 2}
+    edges = [(u, v, 1.0 - rng.random()) for u, v in sorted(pairs)]
+    labels = [f"v{i}" for i in range(n)]
+    g, ref = Graph._from_edges(labels, reversed(edges)), Graph(labels, edges)
+    assert_same_rows(g, ref)
+    assert [g.degree(v) for v in range(n)] == [ref.degree(v) for v in range(n)]
+    assert list(g.edges()) == list(ref.edges())
+    members = rng.sample(range(n), rng.randint(1, n))
+    cap = rng.choice([1, 2, math.inf])
+    for v in range(n):
+        assert reach(g, (v,), cap) == reach(ref, (v,), cap)
+        assert reach(g, (v,), cap, within=members) == reach(ref, (v,), cap, within=members)
+    assert connected_components(g) == connected_components(ref)
+    assert connected_components(g, members) == connected_components(ref, members)
+    assert density(g, members) == density(ref, members)
+    assert peel(g) == peel(ref)
+    assert export_json(g) == export_json(ref)
+
+    edgeless = [v for v in range(n) if not ref.degree(v)]
+    assert {0, n - 1} <= set(edgeless)
+    shared = g.neighbors(0)
+    for v in edgeless:
+        assert g.neighbors(v) is shared and list(g.incident(v)) == []
+    # A shared row must not be a list: a node could otherwise grow it for all.
+    with pytest.raises(AttributeError):
+        shared.append(1)
+    with pytest.raises(TypeError):
+        shared[0:0] = [1]
 
 
 @settings(max_examples=150, deadline=None)
