@@ -43,9 +43,13 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
 
     Unweighted lists get weight 1.0 everywhere; a weight column on an
     unweighted parse (or a missing one on a weighted parse) is an error, as
-    are non-positive weights and self-loops.  Duplicate edges collapse to
-    the maximum weight (counted on the resulting graph).
+    are non-positive weights and self-loops.  Each edge goes straight into
+    the graph's integer-keyed table, where duplicates collapse to the
+    maximum weight (counted on the resulting graph).
     """
+    index: dict[str, int] = {}
+    intern = index.setdefault
+
     def triples():
         for line_no, fields in _data_lines(source, "src dst weight" if weighted else "src dst",
                                            name):
@@ -62,13 +66,14 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
                                      line_no, name)
             else:
                 w = 1.0
-            yield src, dst, w
+            # As in ``Graph.from_label_edges``: ids in first-appearance order.
+            yield intern(src, len(index)), intern(dst, len(index)), w
 
     # Graph rejects edge weights whose total overflows; that is an input
     # error too, so it becomes a ParseError naming the file.  Errors raised
     # while reading lines pass through (``_load`` reports undecodable text).
     try:
-        return Graph.from_label_edges(triples())
+        return Graph._from_index(index, triples())
     except (ParseError, UnicodeDecodeError):
         raise
     except ValueError as exc:

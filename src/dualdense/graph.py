@@ -23,8 +23,8 @@ class Graph:
 
     Nodes are indices ``0..n-1``; ``labels[i]`` is the external name of node
     ``i`` and the label->index mapping is bijective.  Duplicate edges in the
-    input collapse to the maximum weight and are counted in
-    ``duplicates_collapsed``.
+    input collapse to the maximum weight in one integer-keyed table and are
+    counted in ``duplicates_collapsed``.
 
     Node u's neighbours and their weights are two parallel rows, sorted by
     neighbor index.  Rows are only read once built: a node with no edge may
@@ -35,55 +35,71 @@ class Graph:
                  "total_weight", "duplicates_collapsed")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[IndexEdge]):
-        self.labels: tuple[str, ...] = tuple(labels)
+        labels = tuple(labels)
         index: dict[str, int] = {}
-        for i, lab in enumerate(self.labels):
+        for i, lab in enumerate(labels):
             if lab in index:
                 raise ValueError(f"duplicate node label {lab!r}")
             index[lab] = i
+        n = len(labels)
+
+        def checked() -> Iterator[IndexEdge]:
+            for u, v, w in edges:
+                # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
+                if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
+                        and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
+                    raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
+                if u == v:
+                    raise ValueError(f"self-loop on node {labels[u]!r}")
+                if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
+                    raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
+                yield u, v, float(w)
+
+        self._collapse(index, checked())
+
+    @classmethod
+    def _from_index(cls, index: dict[str, int], edges: Iterable[IndexEdge]) -> "Graph":
+        """The graph over the labels of ``index`` (label -> id, in id order)
+        and edges keeping every rule ``__init__`` checks, weights floats."""
+        g = cls.__new__(cls)
+        g._collapse(index, edges)
+        return g
+
+    def _collapse(self, index: dict[str, int], edges: Iterable[IndexEdge]) -> None:
+        """Collapse the edges into one table keyed by ``u << 32 | v``, u < v,
+        and build the rows from its sorted keys, which sort as the pairs
+        ``(u, v)`` do.  Keys decode through ``index``'s own id ints, so the
+        rows share one int object per node, not one per entry."""
+        table: dict[int, float] = {}
+        keep = table.setdefault
+        count = 0
+        for count, (u, v, w) in enumerate(edges, 1):
+            key = u << 32 | v if u < v else v << 32 | u
+            # A repeated pair keeps the larger weight.
+            if keep(key, w) < w:
+                table[key] = w
+        self.labels = tuple(index)
         self._index = index
-        n = len(self.labels)
-
-        collapsed: dict[tuple[int, int], float] = {}
-        duplicates = 0
-        for u, v, w in edges:
-            # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
-            if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
-                    and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
-            if u == v:
-                raise ValueError(f"self-loop on node {self.labels[u]!r}")
-            if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
-                raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in collapsed:
-                duplicates += 1
-                if w > collapsed[key]:
-                    collapsed[key] = float(w)
-            else:
-                collapsed[key] = float(w)
-
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        wts: list[list[float]] = [[] for _ in range(n)]
-        # Iterating pairs in sorted order leaves every adjacency list sorted
-        # by neighbor index.
-        for (u, v) in sorted(collapsed):
-            w = collapsed[(u, v)]
+        ids = list(index.values())
+        nbrs: list[list[int]] = [[] for _ in ids]
+        wts: list[list[float]] = [[] for _ in ids]
+        for key in sorted(table):
+            u, v, w = ids[key >> 32], ids[key & 0xFFFFFFFF], table[key]
             nbrs[u].append(v)
             wts[u].append(w)
             nbrs[v].append(u)
             wts[v].append(w)
         self._nbrs = nbrs
         self._wts = wts
-        self.edge_count = len(collapsed)
+        self.edge_count = len(table)
+        self.duplicates_collapsed = count - len(table)
         # Densities sum volumes, so twice the total weight must stay finite.
         try:
-            self.total_weight = math.fsum(collapsed.values())
+            self.total_weight = math.fsum(table.values())
         except OverflowError:
             self.total_weight = math.inf
         if not math.isfinite(2.0 * self.total_weight):
             raise ValueError("edge weights too large: twice their total overflows a float")
-        self.duplicates_collapsed = duplicates
 
     @classmethod
     def _from_rows(cls, labels: Sequence[str], nbrs: list[Sequence[int]],
@@ -141,8 +157,7 @@ class Graph:
         # free index whenever the label is new.
         index_edges = [(intern(a, len(index)), intern(b, len(index)), w)
                        for a, b, w in edges]
-        labels = list(index)
-        return cls(labels, index_edges)
+        return cls(list(index), index_edges)
 
     @property
     def n(self) -> int:

@@ -361,6 +361,30 @@ def assert_same_rows(g: Graph, ref: Graph) -> None:
     assert g.duplicates_collapsed == 0
 
 
+def assert_collapsed(g: Graph, labels, edges) -> None:
+    """``g`` is the graph a dict keyed by ``(u, v)`` tuples makes of
+    ``labels`` and the edges ``(u, v, w)``: each pair once at its largest
+    weight, rows sorted by neighbor, and weights, ``edge_count``,
+    ``total_weight`` and ``duplicates_collapsed`` equal by ``==``."""
+    kept: dict[tuple[int, int], float] = {}
+    for u, v, w in edges:
+        key = (u, v) if u < v else (v, u)
+        if key not in kept or w > kept[key]:
+            kept[key] = float(w)
+    rows: list[dict[int, float]] = [{} for _ in labels]
+    for (u, v), w in kept.items():
+        rows[u][v] = rows[v][u] = w
+    assert g.labels == tuple(labels)
+    assert [list(g.incident(u)) for u in range(g.n)] == [sorted(row.items()) for row in rows]
+    assert (g.edge_count, g.total_weight) == (len(kept), math.fsum(kept.values()))
+    assert g.duplicates_collapsed == len(edges) - len(kept)
+
+
+def shared_ints(g: Graph) -> int:
+    """How many distinct int objects ``g``'s adjacency rows hold."""
+    return len({id(v) for row in g._nbrs for v in row})
+
+
 def graph_from_json(text: str, name: str | None = None) -> Graph:
     """Read back a plain graph written by ``formats.export_json``."""
     try:

@@ -325,14 +325,17 @@ def test_graphml_refuses_label_xml_cannot_carry(tmp_path, capsys, char):
 
 @pytest.mark.parametrize("command", ["dcs", "stats"])
 def test_non_utf8_input_exit_2(toy_instance, tmp_path, capsys, command):
+    # On line 2, and past the first 8 KB, which the file reader decodes
+    # in one block while the parser has already taken edges.
     bad = tmp_path / "bad.tsv"
-    bad.write_bytes(b"a b 1.0\n\xff\xfe c 1.0\n")
     if command == "dcs":
         args = ["dcs", *dual_args(dict(toy_instance, conceptual=str(bad)))]
     else:
         args = ["stats", "--graph", str(bad)]
-    assert main(args) == 2
-    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+    for head in (b"a b 1.0\n", b"a b 1.0\nb a 2.0\n" * 1000):
+        bad.write_bytes(head + b"\xff\xfe c 1.0\n")
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("command", ["peel", "oracle", "stats"])

@@ -15,7 +15,8 @@ from dualdense.formats import (canonical_json, export_dot, export_graph, export_
                                export_json, load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list, write_correspondence,
                                write_edge_list, write_text)
-from helpers import graph_from_json, graphs_equal, random_dual_network, random_graph
+from helpers import (assert_collapsed, graph_from_json, graphs_equal, random_dual_network,
+                     random_graph)
 
 
 # Parser fuzzing: comment marks, quotes, NUL, digits, separators and the
@@ -29,6 +30,44 @@ def data_lines(text):
     """Whitespace-split fields of the non-blank, non-comment lines."""
     return [line.split() for line in text.split("\n")
             if line.strip() and not line.strip().startswith("#")]
+
+
+def assert_parsed(g, text, weighted):
+    """``g`` is the graph of ``text``'s data lines, each ``src dst [w]``,
+    with labels numbered in order of first appearance."""
+    rows = data_lines(text)
+    assert all(len(fields) == (3 if weighted else 2) for fields in rows)
+    labels = list(dict.fromkeys(label for fields in rows for label in fields[:2]))
+    ids = {label: i for i, label in enumerate(labels)}
+    assert_collapsed(g, labels, [(ids[fields[0]], ids[fields[1]],
+                                  float(fields[2]) if weighted else 1.0) for fields in rows])
+
+
+# Equal values in several spellings, so duplicates tie as well as differ.
+WEIGHT_TOKENS = st.sampled_from(["0.5", "1", "1.0", "1e0", "2", "2.50", "5e-324", "1e300"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """``(text, weighted)``: an edge list the parser accepts, over few
+    labels so that pairs repeat."""
+    weighted = draw(st.booleans())
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["edge"] * 4 + ["comment", "blank"]),
+                              max_size=30)):
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# a b 1", "  #c d"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            fields = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "é", "x#"]),
+                                   min_size=2, max_size=2, unique=True))
+            if weighted:
+                fields.append(draw(WEIGHT_TOKENS))
+            line = draw(st.sampled_from(["", " ", "\t"])) + draw(
+                st.sampled_from([" ", "\t", " \t "])).join(fields)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines), weighted
 
 
 class TestParseEdgeList:
@@ -83,11 +122,18 @@ class TestParseEdgeList:
          "f.tsv: edge weights too large: twice their total overflows a float"),
         ("a b 1e308\nb c 1e308\n", True,
          "f.tsv: edge weights too large: twice their total overflows a float"),
+        # After a duplicate the first bad line still wins; kept weights
+        # that overflow only once collapsed give no line.
+        ("a b 1\nb a 2\na c x\nb c -1\n", True, "f.tsv:line 3: invalid weight 'x'"),
+        ("a b 1\nb a 2\nc c 1\nb c -1\n", True, "f.tsv:line 3: self-loop on 'c'"),
+        ("a b 1\nb a 1e308\nc a 1e308\na c 2\n", True,
+         "f.tsv: edge weights too large: twice their total overflows a float"),
     ])
     def test_error_messages(self, text, weighted, message):
         with pytest.raises(ParseError) as info:
             parse_edge_list(io.StringIO(text), weighted=weighted, name="f.tsv")
         assert str(info.value) == message
+        assert (info.value.line_no is None) == (":line" not in message)
 
     @settings(max_examples=300, deadline=None)
     @given(text=FUZZ_TEXT, weighted=st.booleans())
@@ -101,9 +147,20 @@ class TestParseEdgeList:
             assert exc.line_no is not None
             assert 1 <= exc.line_no <= len(text.split("\n"))
             return
-        rows = data_lines(text)
-        assert all(len(fields) == (3 if weighted else 2) for fields in rows)
-        assert set(g.labels) == {label for fields in rows for label in fields[:2]}
+        assert_parsed(g, text, weighted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_list_texts())
+    def test_matches_reference(self, case):
+        # Duplicates in both orientations, at larger, smaller and equal
+        # weights, between comments, blank lines, CRLF endings and tabs.
+        text, weighted = case
+        assert_parsed(parse_edge_list(io.StringIO(text), weighted=weighted), text, weighted)
+
+    def test_duplicate_keeping_the_max_does_not_overflow(self):
+        # 8e307 doubled is finite; summed duplicates would overflow.
+        g = parse_edge_list(io.StringIO("a b 8e307\nb a 8e307\n"), weighted=True)
+        assert (g.total_weight, g.duplicates_collapsed) == (8e307, 1)
 
 
 class TestParseCorrespondence:

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density, peel
-from dualdense.formats import export_json
+from dualdense.formats import export_json, parse_edge_list
 from dualdense.graph import distances_from, nearest, reach
-from helpers import (ReadLog, assert_same_rows, bfs_hops, graphs_equal, least_shortest_path,
-                     random_graph, subset_density)
+from helpers import (ReadLog, assert_collapsed, assert_same_rows, bfs_hops, graphs_equal,
+                     least_shortest_path, random_graph, shared_ints, subset_density)
 
 
 def triangle(w=1.0):
@@ -70,6 +71,31 @@ class TestConstruction:
         assert g.edge_count == 1
         assert g.weight(0, 1) == 0.7
         assert g.duplicates_collapsed == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 8))
+    def test_matches_tuple_keyed_reference(self, data, n):
+        # Int weights too, equal to float ones, and pairs in both orientations.
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        weight = st.sampled_from([0.5, 1, 1.0, 2, 2.5, 5e-324, 1e300])
+        edges = [(u, v, w) for (u, v), w in data.draw(st.lists(st.tuples(pair, weight),
+                                                                max_size=30))]
+        labels = [f"v{i}" for i in range(n)]
+        assert_collapsed(Graph(labels, edges), labels, edges)
+
+    def test_rows_hold_one_int_per_node(self):
+        # Ids past 256 are separate int objects wherever they are computed;
+        # rows that held one per entry would take memory on large graphs.
+        n = 600
+        rng = random.Random(3)
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+        labels = [f"v{i}" for i in range(n)]
+        text = "".join(f"v{u}\tv{v}\n" for u, v in pairs)
+        for g in (Graph(labels, [(u, v, 1.0) for u, v in pairs]),
+                  Graph.from_label_edges((f"v{u}", f"v{v}", 1.0) for u, v in pairs),
+                  parse_edge_list(io.StringIO(text), weighted=False)):
+            assert shared_ints(g) == g.n
 
     def test_adjacency_symmetric_and_sorted(self):
         rng = random.Random(7)
