@@ -11,13 +11,14 @@ exist, so the alignment graph is the dual network's shared edge set
 delta = infinity turns the distance test into same-component
 reachability; under the conceptual rule, where a gap weighs w_c at any
 distance, physical component labels then decide it with no search.
-Otherwise gap distances come from capped bidirectional searches
-(``graph.distances_from``): the candidates of one conceptual node share its
-physical node's side of the search, which grows first, to radius about
-delta/2, unless a target's side is much smaller; each candidate then grows
-only its own side from scratch, so the work per candidate grows with the
-balls of radius about delta/2 around its endpoints rather than with one
-ball of radius delta.
+Otherwise one capped bidirectional searcher per source physical node
+(``graph.distances_from``) answers every candidate of its conceptual node:
+distance 1 is a match, and distances 2..delta are gaps.  The source's side
+of the search is shared by those candidates and grows first, to radius
+about delta/2, unless a target's side is much smaller; each candidate then
+grows only its own side, so the work per candidate grows with the balls of
+radius about delta/2 around its endpoints rather than with one ball of
+radius delta.
 """
 
 from __future__ import annotations
@@ -140,15 +141,13 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
     lists them.  At delta = infinity under the conceptual rule one
     labelling pass over the physical components decides them all: a
     candidate is an edge of weight w_c exactly when both its physical nodes
-    share a label.  Otherwise ``_search`` decides them: a physically
-    adjacent candidate is a match edge; any other gets its hop distance
-    capped at delta and becomes a gap edge if that distance exists.  The
-    scan yields each conceptual node's candidates together, so one set of
-    physical neighbours per source physical node decides all their matches,
-    and one ``distances_from`` searcher per source answers all their
-    distances, keeping the source's layers between its candidates; memory
-    stays that of the two graphs plus one source's layers and one target's
-    search.
+    share a label.  Otherwise ``_search`` decides them: a candidate at
+    physical hop distance 1 is a match edge, and one at distance 2..delta
+    a gap edge.  The scan yields each conceptual node's candidates
+    together, so one ``distances_from`` searcher per source physical node
+    answers all their distances, keeping the source's side of the search
+    between its candidates; memory stays that of the two graphs plus one
+    source's layers and one target's search.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
@@ -174,29 +173,26 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
     and kinds, for delta >= 2.
 
     Candidates come grouped by source, so each new source physical node
-    gets one set of its physical neighbours, which decides every match of
-    its candidates by membership, and, only once a candidate of it is not
-    a match, one ``distances_from`` searcher for the gap distances.  Every
-    candidate is a distinct conceptual edge and every weight is at most
-    its conceptual weight, so the edges need none of ``Graph``'s checks.
+    gets one ``distances_from`` searcher, which answers all its candidates:
+    distance 1 is a match, and any other distance within delta a gap.
+    Every candidate is a distinct conceptual edge and every weight is at
+    most its conceptual weight, so the edges need none of ``Graph``'s
+    checks.
     """
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    source = adjacent = distance = None
+    source = distance = None
     for ki, kj, w in dn.candidates():
         pi, pj = pair_physical[ki], pair_physical[kj]
         if pi != source:
-            source, adjacent, distance = pi, set(physical.neighbors(pi)), None
-        if pj in adjacent:
+            source, distance = pi, distances_from(physical, pi, delta)
+        d = distance(pj)
+        if d is None:
+            continue
+        if d == 1:
             kind = (MATCH, 1)
         else:
-            # Not adjacent, so any distance within delta is a gap.
-            if distance is None:
-                distance = distances_from(physical, pi, delta)
-            d = distance(pj)
-            if d is None:
-                continue
             weight = gap_weight(gap_mode, w, d)
             if not weight:
                 raise WeightUnderflow(

@@ -310,44 +310,57 @@ def distances_from(g: Graph, s: int,
     d(s, t), or to None when that exceeds ``cap`` or t is unreachable.
 
     Bidirectional search over whole layers (Pohl, 1971) whose source side
-    is shared by every target.  The searcher keeps s's layers and their
-    union, the ball, and grows them only on demand, one C-level set union
-    over the outer layer's adjacency lists each; a target inside the ball
-    is answered by its layer, and one whose adjacency row meets the ball
-    lies one layer beyond it.  Farther targets grow their own side from
-    scratch: each step grows one side by one layer, and the first new layer
-    that meets the other side's ball gives the distance.  Until s's side,
+    is shared by every target.  That side is one ball, the nodes within r
+    hops of s, from r = 1, grown in place only on demand, by one C-level
+    update over the outer layer's adjacency rows.  The layers inside the
+    outer one are kept, so a target in the ball but in none of them lies r
+    hops away; the outer layer is built, from the rows of the layer inside
+    it, only when the ball grows past it.  A target whose row meets the
+    ball lies r + 1 hops away.  Farther targets grow their own side from
+    that row: each step grows one side by one layer, and the first new
+    layer that meets the other side gives the distance.  Until s's side,
     which later targets reuse, reaches radius ``ceil(cap / 2)``, it is the
     side that grows unless the target's outer layer is under a quarter of
     its own; past that radius, and always at ``cap`` = inf, the side with
     the smaller outer layer grows.  At ``cap`` <= 2 the two rules pick the
     same side.  On the last step ``cap`` allows, the target side only tests
-    its outer layer's rows against the source ball.  An empty source layer
-    marks s's component as exhausted, and an empty target layer t's.
+    its outer layer's rows against the ball.  An empty outer layer marks
+    its side's component as exhausted.
     """
     nbrs = g._nbrs
-    layers = [{s}]
-    ball = {s}
+    row_of = nbrs.__getitem__
+    # layers[k + 1] is layer k, for k < r, after an empty layer -1, so the
+    # rows of layer r - 1 minus layers r - 1 and r - 2 are layer r; inner
+    # counts the nodes within r - 1 hops.
+    layers = [set(), {s}]
+    ball = {s, *nbrs[s]}
+    inner = 1
     half = (cap + 1) // 2 if cap < math.inf else 0  # ceil(cap / 2)
 
     def distance(t: int) -> Optional[int]:
+        nonlocal inner
         if t in ball:
-            return next(k for k, layer in enumerate(layers) if t in layer)
-        # Invariant: the two balls are disjoint, so t lies beyond d hops.
+            return next((k for k, layer in enumerate(layers, -1) if t in layer), len(layers) - 1)
+        # Invariant: the two sides are disjoint, so t lies beyond d hops.
         d = len(layers) - 1
-        if d >= cap or not layers[-1]:
+        if d >= cap or len(ball) == inner:
             return None
         row = nbrs[t]
         if not ball.isdisjoint(row):
             return d + 1
-        far, far_layer = {t, *row}, row
+        # t's side as a set is built only once it must grow; until then the
+        # ball can meet only t's row.
+        far, far_layer = None, row
         d += 1
         while d < cap:
             if (len(far_layer) * _SOURCE_BIAS if len(layers) <= half
-                    else len(far_layer)) < len(layers[-1]):
+                    else len(far_layer)) < len(ball) - inner:
                 if d + 1 == cap:
-                    return d + 1 if any(not ball.isdisjoint(nbrs[x]) for x in far_layer) else None
-                layer = set().union(*[nbrs[x] for x in far_layer]) - far
+                    hit = not ball.isdisjoint(chain.from_iterable(map(row_of, far_layer)))
+                    return d + 1 if hit else None
+                if far is None:
+                    far = {t, *row}
+                layer = set(chain.from_iterable(map(row_of, far_layer))) - far
                 if not layer:
                     return None
                 d += 1
@@ -356,13 +369,14 @@ def distances_from(g: Graph, s: int,
                 far |= layer
                 far_layer = layer
             else:
-                layer = set().union(*[nbrs[x] for x in layers[-1]]) - ball
-                layers.append(layer)
-                if not layer:
+                inside = layers[-1]
+                layers.append(set(chain.from_iterable(map(row_of, inside))) - inside - layers[-2])
+                inner = len(ball)
+                ball.update(chain.from_iterable(map(row_of, layers[-1])))
+                if len(ball) == inner:
                     return None
-                ball.update(layer)
                 d += 1
-                if not far.isdisjoint(layer):
+                if not ball.isdisjoint(row if far is None else far):
                     return d
         return None
 

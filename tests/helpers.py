@@ -8,7 +8,7 @@ import heapq
 import json
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 from dualdense import (DensestResult, DualNetwork, Graph, IrreparableDisconnection, ParseError,
@@ -87,6 +87,35 @@ def random_partial_dual(rng: random.Random, n: int, p_phys: float = 0.3,
                        [(u, v, w) for (u, v), w in sorted(conc.items())])
     return DualNetwork(conceptual, physical,
                        tuple((f"c{c}", f"p{p}") for c, p in zip(conc_of, phys_of)))
+
+
+def hub_graph(rng: random.Random, n: int) -> Graph:
+    """Unit-weight graph on n nodes: one to three hubs, each joined to a
+    random share of the nodes, over a sparse random background; with some
+    edges dropped, so that several components and isolated nodes occur."""
+    edges = set()
+    for hub in rng.sample(range(n), min(n, rng.randint(1, 3))):
+        for v in rng.sample(range(n), rng.randint(0, n - 1)):
+            if v != hub:
+                edges.add((min(hub, v), max(hub, v)))
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    kept = sorted(e for e in edges if rng.random() < 0.6)
+    return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in kept])
+
+
+def hub_dual(rng: random.Random, n: int, p_conc: float = 0.3) -> DualNetwork:
+    """Dual network (n >= 2) over a ``hub_graph`` physical network, whose
+    searches meet sides of very different sizes; conceptual edges are drawn
+    over all pairs with ``p_conc``, and node i of one graph corresponds to
+    node i of the other."""
+    physical = hub_graph(rng, n)
+    conc = [(u, v, 1.0 - rng.random()) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < p_conc]
+    conceptual = Graph([f"c{i}" for i in range(n)], conc)
+    return DualNetwork(conceptual, physical,
+                       tuple((f"c{i}", f"v{i}") for i in range(n)))
 
 
 def subset_density(g: Graph, members) -> float:
@@ -247,15 +276,18 @@ def brute_dcs(dn: DualNetwork, max_size: int | None = None,
 
 
 class ReadLog(list):
-    """Adjacency table that records which rows a search reads; install it
-    as ``g._nbrs = ReadLog(g._nbrs)``."""
+    """Adjacency table that records which rows a search reads, in ``read``,
+    and how often, in ``counts``; install it as
+    ``g._nbrs = ReadLog(g._nbrs)``."""
 
     def __init__(self, rows):
         super().__init__(rows)
         self.read = set()
+        self.counts = Counter()
 
     def __getitem__(self, i):
         self.read.add(i)
+        self.counts[i] += 1
         return super().__getitem__(i)
 
 

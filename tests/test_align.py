@@ -12,7 +12,8 @@ from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, Du
                        WeightUnderflow, extract_dcs, gap_weight, result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
-from helpers import assert_same_rows, bfs_hops, random_dual_network, random_partial_dual
+from helpers import (assert_same_rows, bfs_hops, hub_dual, random_dual_network,
+                     random_partial_dual)
 
 
 def dual_from(conc_edges, phys_edges, n):
@@ -148,13 +149,14 @@ def reference_alignment(dn, delta, mode):
 
 
 # random_dual_network maps node i to node i of the other graph and to pair i;
-# random_partial_dual keeps the three index spaces apart.
-GENERATORS = st.sampled_from([random_dual_network, random_partial_dual])
+# random_partial_dual keeps the three index spaces apart; hub_dual's physical
+# hubs make a target's side of a search grow before or after the source's.
+GENERATORS = st.sampled_from([random_dual_network, random_partial_dual, hub_dual])
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 15),
-       delta=st.sampled_from([1, 2, 3, 4, 5, math.inf]),
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+       delta=st.sampled_from([1, 2, 3, 4, 5, 6, math.inf]),
        mode=st.sampled_from(list(GapWeightRule)), generate=GENERATORS)
 def test_matches_pairwise_reference(seed, n, delta, mode, generate):
     dn = generate(random.Random(seed), n)

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from dualdense import Graph, connected_components, density, peel
 from dualdense.formats import export_json, parse_edge_list
 from dualdense.graph import distances_from, nearest, reach
 from helpers import (ReadLog, assert_collapsed, assert_same_rows, bfs_hops, graphs_equal,
-                     least_shortest_path, random_graph, shared_ints, subset_density)
+                     hub_graph, least_shortest_path, random_graph, shared_ints,
+                     subset_density)
 
 
 def triangle(w=1.0):
@@ -337,23 +339,6 @@ def forest_graph(rng):
     return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in sorted(edges)])
 
 
-def hub_graph(rng):
-    """One to three hubs, each joined to a random share of the nodes, over
-    a sparse random background; with some edges dropped, so that several
-    components and isolated nodes occur."""
-    n = rng.randint(2, 40)
-    edges = set()
-    for hub in rng.sample(range(n), min(n, rng.randint(1, 3))):
-        for v in rng.sample(range(n), rng.randint(0, n - 1)):
-            if v != hub:
-                edges.add((min(hub, v), max(hub, v)))
-    for _ in range(rng.randint(0, n)):
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.add((u, v))
-    kept = sorted(e for e in edges if rng.random() < 0.6)
-    return Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in kept])
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_distances_from_matches_reference(seed):
@@ -361,7 +346,7 @@ def test_distances_from_matches_reference(seed):
     # with repeats and the source itself: unreachable targets and targets
     # beyond the cap both give None.
     rng = random.Random(seed)
-    for g in (forest_graph(rng), hub_graph(rng)):
+    for g in (forest_graph(rng), hub_graph(rng, rng.randint(2, 40))):
         hops = {(s, t): bfs_hops(g, s, t) for s in range(g.n) for t in range(g.n)}
         for s in range(g.n):
             for cap in (1, 2, 3, 4, 5, 6, math.inf):
@@ -436,6 +421,99 @@ def test_exhausted_source_reads_no_row():
     g._nbrs.read.clear()
     assert [distance(t) for t in (30, 98, 1, 2)] == [None, None, 1, None]
     assert not g._nbrs.read
+
+
+def unit_graph(n, edges):
+    g = Graph([f"v{i}" for i in range(n)], [(u, v, 1.0) for u, v in edges])
+    g._nbrs = ReadLog(g._nbrs)
+    return g
+
+
+def test_source_ball_grows_into_target_row():
+    # Path 0-1-2-3-4 with a leaf 5 on node 4.  The target's row {3, 5}
+    # never has fewer nodes than the source's outer layer, so the ball
+    # around 0 grows twice, to radius 3, and meets that row: the target's
+    # side grows no layer, and its row is the only one read outside the ball.
+    g = unit_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    assert distances_from(g, 0)(4) == 4
+    assert g._nbrs.read == {0, 1, 2, 4}
+
+
+def test_source_ball_grows_after_target_side():
+    # Source 0's outer layer {1, 2} holds a hub: node 1 has 20 leaves.  The
+    # target 6's side grows first, from its row {5} to the layer {4, 7};
+    # that layer is no smaller than {1, 2}, so the ball grows next, and
+    # meets the target's side at node 7, on the path 0-2-7-5-6.  The rows
+    # of the leaves, of 4 and of 7 are never read.
+    edges = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 6), (5, 7), (2, 7)]
+    g = unit_graph(28, edges + [(1, leaf) for leaf in range(8, 28)])
+    assert distances_from(g, 0)(6) == 4
+    assert g._nbrs.read == {0, 1, 2, 5, 6}
+
+
+def test_capped_last_step_reads_target_rows_only():
+    # Source 0 with three legs 0-a-b; at cap 4 the ball grows to radius 2
+    # first.  Target 8 (row {7, 9}) is then one layer short of the cap, so
+    # its last step tests its neighbours' rows against the ball, in order,
+    # and stops at the first that meets it.  Target 12 lies 5 hops away:
+    # its row and its neighbours' rows are the only ones read.
+    legs = [(0, 1), (1, 4), (0, 2), (2, 5), (0, 3), (3, 6)]
+    g = unit_graph(16, legs + [(4, 7), (7, 8), (8, 9), (9, 10), (6, 15), (13, 15),
+                               (12, 13), (12, 14)])
+    distance = distances_from(g, 0, 4)
+    assert distance(8) == 4
+    assert g._nbrs.read == {0, 1, 2, 3, 7, 8}
+    g._nbrs.read.clear()
+    assert distance(12) is None
+    assert g._nbrs.read == {12, 13, 14}
+
+
+def test_outer_layer_target_reads_no_row():
+    # Path 0-1-...-9 searched from 0.  Target 3 grows the ball to 0..2,
+    # whose outer layer {2} is kept only implicitly; target 9 grows it past
+    # that layer, to 0..8.  Targets in the outer layer, 2 and then 8, and
+    # targets inside it are answered without reading a row.
+    g = unit_graph(10, [(i, i + 1) for i in range(9)])
+    distance = distances_from(g, 0)
+    assert distance(3) == 3
+    g._nbrs.read.clear()
+    assert [distance(t) for t in (2, 1, 0)] == [2, 1, 0]
+    assert not g._nbrs.read
+    assert distance(9) == 9
+    g._nbrs.read.clear()
+    assert [distance(t) for t in (8, 2, 7, 0)] == [8, 2, 7, 0]
+    assert not g._nbrs.read
+
+
+def test_source_side_reads_each_row_at_most_twice():
+    # Path 0-...-40 searched from 0: the ball grows 38 times to meet the
+    # target's row.  Each row is read once to grow the ball past its node
+    # and once to build the layer beyond it; a layer that kept nodes of
+    # older layers would read their rows again at every growth.
+    g = unit_graph(41, [(i, i + 1) for i in range(40)])
+    assert distances_from(g, 0)(40) == 40
+    assert max(g._nbrs.counts.values()) <= 2
+
+
+def test_path_searcher_memory():
+    # One searcher from the middle of a 16k-node path: targets 0 and n - 1
+    # grow only their own sides, and n/4 grows the source's side to radius
+    # n/4 - 1, keeping its 4k layers of two nodes each.  Before the ball grew
+    # in place the traced peak was 1,160,720 bytes on CPython 3.11, and
+    # 1,422,724 after: the in-place update sizes the ball's table for
+    # twice the entries a set union does.  Nested balls kept instead of
+    # layers would take memory quadratic in the radius.
+    n = 16_000
+    g = Graph([f"v{i}" for i in range(n)], [(i, i + 1, 1.0) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        distance = distances_from(g, n // 2)
+        assert [distance(t) for t in (0, n - 1, n // 4)] == [n // 2, n // 2 - 1, n // 4]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 1_160_720
 
 
 @settings(max_examples=40, deadline=None)
