@@ -11,14 +11,16 @@ exist, so the alignment graph is the dual network's shared edge set
 delta = infinity turns the distance test into same-component
 reachability; under the conceptual rule, where a gap weighs w_c at any
 distance, physical component labels then decide it with no search.
-Otherwise one capped bidirectional searcher per source physical node
-(``graph.distances_from``) answers every candidate of its conceptual node:
-distance 1 is a match, and distances 2..delta are gaps.  The source's side
-of the search is shared by those candidates and grows first, to radius
-about delta/2, unless a target's side is much smaller; each candidate then
-grows only its own side, so the work per candidate grows with the balls of
-radius about delta/2 around its endpoints rather than with one ball of
-radius delta.
+Otherwise ``DualNetwork.candidates`` yields each conceptual node's
+candidates together, and one capped bidirectional searcher per source
+physical node (``graph.distances_from``) answers them all: distance 1 is a
+match, and distances 2..delta are gaps.  The source's side of the search
+is shared by those candidates and grows first, to radius about delta/2,
+unless a target's side is much smaller; each candidate then grows only its
+own side, so the work per candidate grows with the balls of radius about
+delta/2 around its endpoints rather than with one ball of radius delta,
+and memory stays that of the two graphs plus one source's layers and one
+target's search.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class AlignmentGraph:
             self._kinds = _search(self.dual, self.delta, self.gap_mode)[1]
         return self._kinds
 
-    def kind_of(self, u: int, v: int) -> tuple[str, int]:
-        return self.kinds[(u, v) if u < v else (v, u)]
-
 
 def check_delta(delta) -> float:
     """Normalize the gap threshold: a positive integer or math.inf."""
@@ -131,23 +130,11 @@ def composite_label(conceptual: str, physical: str) -> str:
 
 def build_alignment_graph(dn: DualNetwork, delta=4,
                           gap_mode: GapWeightRule = GapWeightRule.PER_HOP) -> AlignmentGraph:
-    """Merge a dual network into its weighted alignment graph.
-
-    One scan over the conceptual edges visits every candidate: an edge
-    whose endpoints are both covered by the correspondence (every alignment
-    edge requires conceptual adjacency, so scanning all composite-node
-    pairs is never needed).  At delta = 1 the candidates whose physical
-    nodes are adjacent are the edges, all matches: ``dn.shared_edges()``
-    lists them.  At delta = infinity under the conceptual rule one
-    labelling pass over the physical components decides them all: a
-    candidate is an edge of weight w_c exactly when both its physical nodes
-    share a label.  Otherwise ``_search`` decides them: a candidate at
-    physical hop distance 1 is a match edge, and one at distance 2..delta
-    a gap edge.  The scan yields each conceptual node's candidates
-    together, so one ``distances_from`` searcher per source physical node
-    answers all their distances, keeping the source's side of the search
-    between its candidates; memory stays that of the two graphs plus one
-    source's layers and one target's search.
+    """Merge a dual network into its weighted alignment graph at gap
+    threshold ``delta`` (a positive integer or math.inf) under ``gap_mode``,
+    by the build the module docstring names for that case.  Raises
+    ConfigError for a bad threshold or rule, and WeightUnderflow when a gap
+    weight rounds to 0.
     """
     delta = check_delta(delta)
     if not isinstance(gap_mode, GapWeightRule):
@@ -169,15 +156,9 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
 
 
 def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
-    """The searcher build's edge list, each edge ``(u, v, w)`` with u < v,
-    and kinds, for delta >= 2.
-
-    Candidates come grouped by source, so each new source physical node
-    gets one ``distances_from`` searcher, which answers all its candidates:
-    distance 1 is a match, and any other distance within delta a gap.
-    Every candidate is a distinct conceptual edge and every weight is at
-    most its conceptual weight, so the edges need none of ``Graph``'s
-    checks.
+    """The searcher build, for delta >= 2: its edges ``(u, v, w)``, u < v,
+    and their kinds.  Each edge is a distinct conceptual edge weighing at
+    most its conceptual weight, so the edges need none of ``Graph``'s checks.
     """
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []

@@ -81,7 +81,7 @@ def cmd_peel(args) -> str:
         "nodes": sorted(g.labels[v] for v in result.nodes),
         "node_count": len(result.nodes),
         "density": result.density,
-        "exact": result.exact,
+        "exact": False,
         **trace.to_doc(g.labels),
     }
     return formats.canonical_json(doc)

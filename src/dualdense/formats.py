@@ -163,10 +163,10 @@ def canonical_json(doc) -> str:
 def _edge_rows(obj: Graph | AlignmentGraph) -> tuple[Graph, tuple[str, ...], Iterator[tuple]]:
     """The graph, its edge attribute names (``weight``, plus ``kind`` and
     ``distance`` for an alignment graph), and its edges in index order as
-    ``(label_u, label_v, attribute values)``."""
+    ``(label_u, label_v, attribute values)``; ``kinds`` keys edges as ``edges`` yields them."""
     if isinstance(obj, AlignmentGraph):
-        g = obj.graph
-        rows = ((g.labels[u], g.labels[v], (w, *obj.kind_of(u, v))) for u, v, w in g.edges())
+        g, kinds = obj.graph, obj.kinds
+        rows = ((g.labels[u], g.labels[v], (w, *kinds[u, v])) for u, v, w in g.edges())
         return g, ("weight", "kind", "distance"), rows
     return obj, ("weight",), ((a, b, (w,)) for a, b, w in obj.label_edges())
 

@@ -51,7 +51,8 @@ class Graph:
                     raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
                 if u == v:
                     raise ValueError(f"self-loop on node {labels[u]!r}")
-                if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0:
+                if (not isinstance(w, (int, float)) or type(w) is bool
+                        or not math.isfinite(w) or w <= 0):
                     raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
                 yield u, v, float(w)
 
@@ -172,28 +173,17 @@ class Graph:
     def degree(self, u: int) -> int:
         return len(self._nbrs[u])
 
-    def weight(self, u: int, v: int) -> Optional[float]:
-        """Weight of edge (u, v), or None if absent."""
-        if len(self._nbrs[v]) < len(self._nbrs[u]):
-            u, v = v, u
+    def has_edge(self, u: int, v: int) -> bool:
         row = self._nbrs[u]
         i = bisect_left(row, v)
-        if i < len(row) and row[i] == v:
-            return self._wts[u][i]
-        return None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.weight(u, v) is not None
+        return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[IndexEdge]:
         """All edges exactly once, as (u, v, w) with u < v, sorted."""
-        for u in range(self.n):
-            row = self._nbrs[u]
-            wrow = self._wts[u]
-            for i in range(len(row)):
-                v = row[i]
+        for u, row, wrow in zip(range(self.n), self._nbrs, self._wts):
+            for v, w in zip(row, wrow):
                 if v > u:
-                    yield u, v, wrow[i]
+                    yield u, v, w
 
     def label_edges(self) -> Iterator[LabelEdge]:
         for u, v, w in self.edges():

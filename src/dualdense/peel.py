@@ -47,7 +47,6 @@ class PeelTrace:
 class DensestResult:
     nodes: frozenset[int]
     density: float
-    exact: bool
 
 
 def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
@@ -98,4 +97,4 @@ def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     best_index = tied[-1]
     trace = PeelTrace(removal_order, densities, best_index, tied)
     nodes = frozenset(removal_order[best_index:])
-    return DensestResult(nodes, density(g, nodes), exact=False), trace
+    return DensestResult(nodes, density(g, nodes)), trace

@@ -11,8 +11,8 @@ import random
 from collections import Counter, deque
 from itertools import combinations
 
-from dualdense import (DensestResult, DualNetwork, Graph, IrreparableDisconnection, ParseError,
-                       PeelTrace, density)
+from dualdense import (AlignmentGraph, DensestResult, DualNetwork, Graph,
+                       IrreparableDisconnection, ParseError, PeelTrace, density)
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = True) -> Graph:
@@ -118,6 +118,16 @@ def hub_dual(rng: random.Random, n: int, p_conc: float = 0.3) -> DualNetwork:
                        tuple((f"c{i}", f"v{i}") for i in range(n)))
 
 
+def edge_weight(g: Graph, u: int, v: int) -> float | None:
+    """Weight of edge (u, v), or None if absent, read off u's incident list."""
+    return dict(g.incident(u)).get(v)
+
+
+def kind_of(ag: AlignmentGraph, u: int, v: int) -> tuple[str, int]:
+    """Match/gap kind of alignment edge (u, v), in either orientation."""
+    return ag.kinds[(u, v) if u < v else (v, u)]
+
+
 def subset_density(g: Graph, members) -> float:
     """Direct 2*W(S)/|S| via explicit edge enumeration."""
     S = set(members)
@@ -181,7 +191,7 @@ def reference_peel(g: Graph) -> tuple[DensestResult, PeelTrace]:
     best_index = tied[-1]
     trace = PeelTrace(removal_order, densities, best_index, tied)
     nodes = frozenset(removal_order[best_index:])
-    return DensestResult(nodes, density(g, nodes), exact=False), trace
+    return DensestResult(nodes, density(g, nodes)), trace
 
 
 def brute_densest(g: Graph) -> tuple[float, frozenset[int]]:
@@ -455,7 +465,7 @@ def exact_densest(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DensestResult:
         raise ValueError(f"graph has {n} nodes; exact solver is limited to {limit}")
 
     nbrs = [list(g.neighbors(v)) for v in range(n)]
-    wts = [[g.weight(v, u) for u in nbrs[v]] for v in range(n)]
+    wts = [[edge_weight(g, v, u) for u in nbrs[v]] for v in range(n)]
 
     size = 1 << n
     weight_of = [0.0] * size
@@ -480,7 +490,7 @@ def exact_densest(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DensestResult:
             best_mask = mask
 
     nodes = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return DensestResult(nodes, density(g, nodes), exact=True)
+    return DensestResult(nodes, density(g, nodes))
 
 
 def _mask_key(mask: int) -> tuple[int, ...]:

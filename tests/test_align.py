@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, DualDenseError,
                        DualNetwork, GapWeightRule, Graph, build_alignment_graph,
-                       WeightUnderflow, extract_dcs, gap_weight, result_to_doc)
+                       WeightUnderflow, extract_dcs, gap_weight, generate_planted,
+                       result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
-from helpers import (assert_same_rows, bfs_hops, hub_dual, random_dual_network,
-                     random_partial_dual)
+from helpers import (assert_same_rows, bfs_hops, edge_weight, hub_dual, kind_of,
+                     random_dual_network, random_partial_dual)
 
 
 def dual_from(conc_edges, phys_edges, n):
@@ -49,21 +50,21 @@ class TestBuildAlignmentGraph:
         dn = dual_from([(0, 1, 0.9)], [(0, 1)], 2)
         ag = build_alignment_graph(dn, delta=1)
         assert ag.graph.edge_count == 1
-        assert ag.graph.weight(0, 1) == 0.9
-        assert ag.kind_of(0, 1) == (MATCH, 1)
+        assert edge_weight(ag.graph, 0, 1) == 0.9
+        assert kind_of(ag, 0, 1) == (MATCH, 1)
 
     def test_gap_edge_per_hop(self):
         # conceptual edge at physical distance 3, delta 4
         dn = dual_from([(0, 3, 0.8)], [(0, 1), (1, 2), (2, 3)], 4)
         ag = build_alignment_graph(dn, delta=4, gap_mode=GapWeightRule.PER_HOP)
         assert ag.graph.edge_count == 1
-        assert ag.graph.weight(0, 3) == pytest.approx(0.8 / 3)
-        assert ag.kind_of(0, 3) == (GAP, 3)
+        assert edge_weight(ag.graph, 0, 3) == pytest.approx(0.8 / 3)
+        assert kind_of(ag, 0, 3) == (GAP, 3)
 
     def test_gap_edge_conceptual_mode(self):
         dn = dual_from([(0, 3, 0.8)], [(0, 1), (1, 2), (2, 3)], 4)
         ag = build_alignment_graph(dn, delta=4, gap_mode=GapWeightRule.CONCEPTUAL)
-        assert ag.graph.weight(0, 3) == 0.8
+        assert edge_weight(ag.graph, 0, 3) == 0.8
 
     def test_distance_above_delta_no_edge(self):
         dn = dual_from([(0, 5, 0.8)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6)
@@ -73,7 +74,7 @@ class TestBuildAlignmentGraph:
     def test_distance_at_delta_included(self):
         dn = dual_from([(0, 4, 0.8)], [(0, 1), (1, 2), (2, 3), (3, 4)], 5)
         ag = build_alignment_graph(dn, delta=4)
-        assert ag.kind_of(0, 4) == (GAP, 4)
+        assert kind_of(ag, 0, 4) == (GAP, 4)
 
     def test_infinite_delta_needs_same_component(self):
         dn = dual_from([(0, 1, 0.5)], [(0, 2), (1, 3)], 4)
@@ -84,7 +85,7 @@ class TestBuildAlignmentGraph:
         phys = [(i, i + 1) for i in range(7)]
         dn = dual_from([(0, 7, 0.7)], phys, 8)
         ag = build_alignment_graph(dn, delta=math.inf)
-        assert ag.kind_of(0, 7) == (GAP, 7)
+        assert kind_of(ag, 0, 7) == (GAP, 7)
 
     def test_delta_zero_rejected(self):
         dn = dual_from([(0, 1, 0.5)], [(0, 1)], 2)
@@ -107,7 +108,7 @@ class TestBuildAlignmentGraph:
         with pytest.raises(WeightUnderflow, match="conceptual edge 'w0' -- 'w1'"):
             build_alignment_graph(dn, delta=2)
         ag = build_alignment_graph(dn, delta=math.inf, gap_mode=GapWeightRule.CONCEPTUAL)
-        assert ag.kind_of(0, 1) == (GAP, 2)
+        assert kind_of(ag, 0, 1) == (GAP, 2)
 
     def test_bad_gap_mode_rejected(self):
         dn = dual_from([(0, 1, 0.5)], [(0, 1)], 2)
@@ -124,7 +125,7 @@ class TestBuildAlignmentGraph:
         ag = build_alignment_graph(dn, delta=2)
         assert ag.graph.n == 2
         assert ag.graph.edge_count == 1
-        assert ag.graph.weight(0, 1) == 0.5
+        assert edge_weight(ag.graph, 0, 1) == 0.5
 
 
 def reference_alignment(dn, delta, mode):
@@ -134,7 +135,7 @@ def reference_alignment(dn, delta, mode):
     for i in range(n):
         for j in range(i + 1, n):
             ci, cj = dn.pair_conceptual[i], dn.pair_conceptual[j]
-            w = dn.conceptual.weight(ci, cj)
+            w = edge_weight(dn.conceptual, ci, cj)
             if w is None:
                 continue
             pi, pj = dn.pair_physical[i], dn.pair_physical[j]
@@ -164,7 +165,7 @@ def test_matches_pairwise_reference(seed, n, delta, mode, generate):
     expected = reference_alignment(dn, delta, mode)
     actual = {}
     for u, v, w in ag.graph.edges():
-        kind, dist = ag.kind_of(u, v)
+        kind, dist = kind_of(ag, u, v)
         actual[(u, v)] = (kind, dist, w)
     assert actual.keys() == expected.keys()
     for key, (kind, dist, w) in expected.items():
@@ -181,7 +182,7 @@ def test_structural_invariants(seed, n):
     for u, v, _ in ag.graph.edges():
         cu, cv = dn.pair_conceptual[u], dn.pair_conceptual[v]
         assert dn.conceptual.has_edge(cu, cv)
-        kind, dist = ag.kind_of(u, v)
+        kind, dist = kind_of(ag, u, v)
         pu, pv = dn.pair_physical[u], dn.pair_physical[v]
         if kind == MATCH:
             assert dn.physical.has_edge(pu, pv)
@@ -190,19 +191,32 @@ def test_structural_invariants(seed, n):
             assert 2 <= dist <= 3
 
 
+def assert_restriction_in_delta(dn, deltas=range(1, 7)):
+    """Under each rule, the graph at each finite delta is the delta=inf
+    graph cut to the edges at most delta hops apart, weights and kinds
+    equal."""
+    for rule in GapWeightRule:
+        full = build_alignment_graph(dn, math.inf, rule)
+        full_edges = {(u, v): (w, full.kinds[u, v]) for u, v, w in full.graph.edges()}
+        for delta in deltas:
+            ag = build_alignment_graph(dn, delta, rule)
+            edges = {(u, v): (w, ag.kinds[u, v]) for u, v, w in ag.graph.edges()}
+            assert ag.kinds.keys() == edges.keys()
+            assert edges == {key: (w, kind) for key, (w, kind) in full_edges.items()
+                             if kind[1] <= delta}, (delta, rule)
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12), delta=st.integers(1, 5))
-def test_monotone_in_delta(seed, n, delta):
-    dn = random_dual_network(random.Random(seed), n)
-    small = build_alignment_graph(dn, delta=delta)
-    large = build_alignment_graph(dn, delta=delta + 1)
-    small_edges = {(u, v): w for u, v, w in small.graph.edges()}
-    large_edges = {(u, v): w for u, v, w in large.graph.edges()}
-    assert set(small_edges) <= set(large_edges)
-    for key, (kind, dist) in small.kinds.items():
-        assert large.kinds[key] == (kind, dist)
-        if kind == MATCH:
-            assert large_edges[key] == small_edges[key]
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 20), generate=GENERATORS)
+def test_monotone_in_delta(seed, n, generate):
+    assert_restriction_in_delta(generate(random.Random(seed), n))
+
+
+def test_restriction_in_delta_on_planted_instance():
+    # Sparse enough that candidates lie up to ~8 hops apart, so the
+    # searcher's source-first phase and target-side growth both run.
+    assert_restriction_in_delta(generate_planted(
+        2_000, 20, 7, background_edge_prob=0.002, physical_edge_prob=0.0005).dual)
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,8 +259,8 @@ def test_alignment_graph_matches_rebuilt_graph(seed, n, parts):
     for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
         for delta, rule in product((1, 2, 3, 4, math.inf), GapWeightRule):
             ag = build_alignment_graph(dn, delta, rule)
-            edges = [(ki, kj, w if ag.kind_of(ki, kj)[0] == MATCH
-                      else gap_weight(rule, w, ag.kind_of(ki, kj)[1]))
+            edges = [(ki, kj, w if kind_of(ag, ki, kj)[0] == MATCH
+                      else gap_weight(rule, w, kind_of(ag, ki, kj)[1]))
                      for ki, kj, w in dn.candidates()
                      if ((ki, kj) if ki < kj else (kj, ki)) in ag.kinds]
             labels = [composite_label(c, p) for c, p in dn.pairs]
@@ -302,7 +316,7 @@ def test_label_build_matches_searcher_build(seed, n, parts):
     edges = {(u, v): w for u, v, w in labelled.graph.edges()}
     assert edges.keys() == {(u, v) for u, v, _ in searched.graph.edges()}
     for (u, v), w in edges.items():
-        assert w == dn.conceptual.weight(dn.pair_conceptual[u], dn.pair_conceptual[v])
+        assert w == edge_weight(dn.conceptual, dn.pair_conceptual[u], dn.pair_conceptual[v])
     kinds = labelled.kinds
     assert kinds == searched.kinds
     assert labelled.kinds is kinds

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import DualNetwork, Graph, density
-from helpers import random_dual_network, random_partial_dual, subset_density
+from helpers import edge_weight, random_dual_network, random_partial_dual, subset_density
 
 
 def small_pair():
@@ -202,7 +202,7 @@ def test_shared_edges_match_pairwise_check(seed, n, generate):
     # apart and leaves nodes of both graphs uncovered.
     dn = generate(random.Random(seed), n)
     pc, pp = dn.pair_conceptual, dn.pair_physical
-    expected = [(k, j, dn.conceptual.weight(pc[k], pc[j]))
+    expected = [(k, j, edge_weight(dn.conceptual, pc[k], pc[j]))
                 for k in range(dn.pair_count) for j in range(k + 1, dn.pair_count)
                 if dn.conceptual.has_edge(pc[k], pc[j]) and dn.physical.has_edge(pp[k], pp[j])]
     found = dn.shared_edges()
@@ -227,7 +227,7 @@ def test_candidates_are_the_covered_conceptual_edges(seed, n):
     dn = partial_dual_network(random.Random(seed), n)
     c, pc = dn.conceptual, dn.pair_conceptual
     found = list(dn.candidates())
-    expected = {(k, j, c.weight(pc[k], pc[j])) for k in range(dn.pair_count)
+    expected = {(k, j, edge_weight(c, pc[k], pc[j])) for k in range(dn.pair_count)
                 for j in range(dn.pair_count) if pc[k] < pc[j] and c.has_edge(pc[k], pc[j])}
     assert set(found) == expected and len(found) == len(expected)
     # Conceptual edge order: by the lower endpoint, then the upper.

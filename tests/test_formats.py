@@ -15,8 +15,8 @@ from dualdense.formats import (canonical_json, export_dot, export_graph, export_
                                export_json, load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list, write_correspondence,
                                write_edge_list, write_text)
-from helpers import (assert_collapsed, graph_from_json, graphs_equal, random_dual_network,
-                     random_graph)
+from helpers import (assert_collapsed, edge_weight, graph_from_json, graphs_equal,
+                     random_dual_network, random_graph)
 
 
 # Parser fuzzing: comment marks, quotes, NUL, digits, separators and the
@@ -80,8 +80,8 @@ class TestParseEdgeList:
     def test_weighted_with_comment(self):
         g = parse_edge_list(io.StringIO("a b 0.5\n# comment\nb c 0.25\n"), weighted=True)
         assert g.edge_count == 2
-        assert g.weight(g.labels.index("a"), g.labels.index("b")) == 0.5
-        assert g.weight(g.labels.index("b"), g.labels.index("c")) == 0.25
+        assert edge_weight(g, g.labels.index("a"), g.labels.index("b")) == 0.5
+        assert edge_weight(g, g.labels.index("b"), g.labels.index("c")) == 0.25
 
     def test_negative_weight_cites_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -104,7 +104,7 @@ class TestParseEdgeList:
     def test_duplicates_keep_max(self):
         g = parse_edge_list(io.StringIO("a b 0.5\nb a 0.9\n"), weighted=True)
         assert g.edge_count == 1
-        assert g.weight(0, 1) == 0.9
+        assert edge_weight(g, 0, 1) == 0.9
         assert g.duplicates_collapsed == 1
 
     def test_bad_weight_token(self):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dualdense import Graph, connected_components, density, peel
 from dualdense.formats import export_json, parse_edge_list
 from dualdense.graph import distances_from, nearest, reach
-from helpers import (ReadLog, assert_collapsed, assert_same_rows, bfs_hops, graphs_equal,
-                     hub_graph, least_shortest_path, random_graph, shared_ints,
+from helpers import (ReadLog, assert_collapsed, assert_same_rows, bfs_hops, edge_weight,
+                     graphs_equal, hub_graph, least_shortest_path, random_graph, shared_ints,
                      subset_density)
 
 
@@ -51,7 +51,7 @@ class TestConstruction:
             density(Graph(["a", "b"], [(0, 1, 1.0)]), [0, bad])
         assert str(info.value) == f"node {bad!r} is not in the graph"
 
-    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf, True])
     def test_bad_weight_rejected(self, w):
         with pytest.raises(ValueError):
             Graph(["a", "b"], [(0, 1, w)])
@@ -71,7 +71,7 @@ class TestConstruction:
     def test_duplicate_edges_keep_max(self):
         g = Graph(["a", "b"], [(0, 1, 0.2), (1, 0, 0.7), (0, 1, 0.5)])
         assert g.edge_count == 1
-        assert g.weight(0, 1) == 0.7
+        assert edge_weight(g, 0, 1) == 0.7
         assert g.duplicates_collapsed == 2
 
     @settings(max_examples=300, deadline=None)
@@ -106,7 +106,7 @@ class TestConstruction:
             nbrs = list(g.neighbors(u))
             assert nbrs == sorted(nbrs)
             for v in nbrs:
-                assert g.weight(u, v) == g.weight(v, u)
+                assert edge_weight(g, u, v) == edge_weight(g, v, u)
 
 
 class TestDensity:

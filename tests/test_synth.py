@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from dualdense import ConfigError, brute_force_dcs, connected_components, generate_planted
-from helpers import physically_connected
+from helpers import edge_weight, physically_connected
 
 
 class TestGeneratePlanted:
@@ -16,7 +16,7 @@ class TestGeneratePlanted:
         for i, a in enumerate(planted):
             for b in planted[i + 1:]:
                 ca, cb = dn.pair_conceptual[a], dn.pair_conceptual[b]
-                assert dn.conceptual.weight(ca, cb) == 1.0
+                assert edge_weight(dn.conceptual, ca, cb) == 1.0
 
     def test_background_below_cap(self):
         inst = generate_planted(12, 4, seed=3, background_weight_cap=0.2)
