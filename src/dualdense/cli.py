@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import formats
-from .align import GapWeightRule, build_alignment_graph, parse_delta
+from .align import GapWeightRule, build_alignment_graph, delta_doc, parse_delta
 from .dualnet import DualNetwork
 from .errors import (ConfigError, IrreparableDisconnection, NoFeasibleSubgraph,
                      ParseError, WeightUnderflow)
@@ -159,14 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     def add_align_opts(p):
-        p.add_argument("--delta", default="4",
-                       help="gap threshold: positive integer or 'inf' (default 4)")
-        p.add_argument("--gap-mode", default="per-hop", choices=["conceptual", "per-hop"])
+        p.add_argument("--delta", default=str(delta_doc(DcsOptions.delta)),
+                       help="gap threshold: positive integer or 'inf' (default %(default)s)")
+        p.add_argument("--gap-mode", default=DcsOptions.gap_mode.value,
+                       choices=[r.value for r in GapWeightRule])
 
     p = sub.add_parser("dcs", help="full pipeline: alignment, peeling, connectivity")
     add_dual_inputs(p)
     add_align_opts(p)
-    p.add_argument("--connectivity", default="strict", choices=["strict", "relaxed"])
+    p.add_argument("--connectivity", default=DcsOptions.connectivity.value,
+                   choices=[c.value for c in Connectivity])
     p.add_argument("--no-repair", action="store_true",
                    help="report disconnection instead of adding connector nodes")
     p.add_argument("--format", default="json", choices=["json", "dot"])

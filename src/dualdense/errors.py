@@ -49,6 +49,4 @@ class IrreparableDisconnection(DualDenseError):
     directly.
     """
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    partial = None

@@ -66,7 +66,7 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
                                      line_no, name)
             else:
                 w = 1.0
-            # As in ``Graph.from_label_edges``: ids in first-appearance order.
+            # len(index) is the next free id, so ids follow first appearance.
             yield intern(src, len(index)), intern(dst, len(index)), w
 
     # Graph rejects edge weights whose total overflows; that is an input

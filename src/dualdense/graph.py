@@ -146,20 +146,6 @@ class Graph:
             wts[v].append(w)
         return cls._from_rows(labels, nbrs, wts)
 
-    @classmethod
-    def from_label_edges(cls, edges: Iterable[LabelEdge]) -> "Graph":
-        """Build a graph from ``(src_label, dst_label, weight)`` triples.
-
-        Labels are interned to dense indices in first-appearance order.
-        """
-        index: dict[str, int] = {}
-        intern = index.setdefault
-        # Arguments are evaluated left to right, so len(index) is the next
-        # free index whenever the label is new.
-        index_edges = [(intern(a, len(index)), intern(b, len(index)), w)
-                       for a, b, w in edges]
-        return cls(list(index), index_edges)
-
     @property
     def n(self) -> int:
         return len(self.labels)

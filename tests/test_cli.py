@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import DcsOptions, DualNetwork, extract_dcs, result_to_doc
-from dualdense.cli import main
+from dualdense.cli import _options, build_parser, main
 from dualdense.formats import canonical_json, load_correspondence, load_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,13 @@ class TestDcsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["delta"] == 4
         assert doc["gap_mode"] == "per-hop"
+
+    def test_defaults_are_the_library_defaults(self, toy_instance, capsys):
+        args = build_parser().parse_args(["dcs", *dual_args(toy_instance)])
+        assert _options(args) == DcsOptions()
+        with pytest.raises(SystemExit):
+            main(["dcs", "--help"])
+        assert "(default 4)" in " ".join(capsys.readouterr().out.split())
 
     def test_deterministic_bytes(self, toy_instance, tmp_path):
         out1, out2, out3 = (tmp_path / f"r{i}.json" for i in range(3))

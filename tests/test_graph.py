@@ -95,7 +95,6 @@ class TestConstruction:
         labels = [f"v{i}" for i in range(n)]
         text = "".join(f"v{u}\tv{v}\n" for u, v in pairs)
         for g in (Graph(labels, [(u, v, 1.0) for u, v in pairs]),
-                  Graph.from_label_edges((f"v{u}", f"v{v}", 1.0) for u, v in pairs),
                   parse_edge_list(io.StringIO(text), weighted=False)):
             assert shared_ints(g) == g.n
 

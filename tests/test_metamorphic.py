@@ -5,6 +5,11 @@ Shuffling the data lines of both edge lists and swapping each line's
 endpoints renumbers the conceptual and physical nodes but keeps the pair
 ids, which follow the correspondence file, so every tie-break keyed on
 pair ids gives the same bytes and exit code.
+
+Multiplying every conceptual weight by a power of two multiplies every
+weight, sum and density the pipeline computes by the same factor, exactly,
+so every comparison (and tie) it makes comes out the same: the selection,
+the connectors and the peel order stay, and each density scales.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from dualdense import Graph, generate_planted
-from dualdense.cli import main
-from dualdense.formats import write_correspondence, write_edge_list
+from dualdense import DualDenseError, DualNetwork, Graph, extract_dcs, generate_planted
+from dualdense.cli import _options, build_parser, main
+from dualdense.formats import (load_correspondence, load_graph, write_correspondence,
+                               write_edge_list)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INSTANCES = ("readme", "connector", "irreparable", "gen", "planted")
@@ -32,6 +38,7 @@ OPTION_SETS = {
     "no-repair": ("--no-repair",),
 }
 SHUFFLE_SEEDS = (1, 2, 3)
+SCALE_FACTORS = (2.0 ** -40, 0.5, 2.0, 1024.0)
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +98,43 @@ def test_line_order_and_orientation_keep_dcs_output(instance, options, planted_d
         (tmp_path / "correspondence.tsv").write_bytes(
             (source / "correspondence.tsv").read_bytes())
         assert run_dcs(tmp_path, OPTION_SETS[options]) == expected, f"shuffle seed {seed}"
+
+
+def dcs_outcome(dn: DualNetwork, options):
+    """``extract_dcs``'s result under the ``dcs`` flags ``options``, or the
+    type of the error it raises."""
+    args = build_parser().parse_args(["dcs", "--conceptual", "", "--physical", "",
+                                      "--correspondence", "", *options])
+    try:
+        return extract_dcs(dn, _options(args))
+    except DualDenseError as exc:
+        return type(exc)
+
+
+def scaled_fields(result, factor: float) -> tuple:
+    """What ``result`` must read as once every conceptual weight is
+    multiplied by ``factor``; densities are compared with ``==``."""
+    trace = result.trace
+    return (result.nodes, result.connector_nodes, result.physically_connected,
+            result.warnings, trace.removal_order, trace.best_prefix_index,
+            trace.tied_prefix_indices,
+            [result.conceptual_density * factor, result.core_density * factor,
+             result.alignment_density * factor],
+            [d * factor for d in trace.density_at_prefix])
+
+
+@pytest.mark.parametrize("options", sorted(OPTION_SETS))
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_power_of_two_weight_scaling_scales_densities(instance, options, planted_dir):
+    source = planted_dir if instance == "planted" else GOLDEN / instance
+    conceptual = load_graph(str(source / "conceptual.tsv"), weighted=True)
+    physical = load_graph(str(source / "physical.tsv"), weighted=False)
+    pairs = load_correspondence(str(source / "correspondence.tsv"))
+    expected = dcs_outcome(DualNetwork(conceptual, physical, pairs), OPTION_SETS[options])
+    for factor in SCALE_FACTORS:
+        scaled = Graph(conceptual.labels, [(u, v, w * factor) for u, v, w in conceptual.edges()])
+        got = dcs_outcome(DualNetwork(scaled, physical, pairs), OPTION_SETS[options])
+        if isinstance(expected, type):
+            assert got is expected, f"factor {factor}"
+        else:
+            assert scaled_fields(got, 1.0) == scaled_fields(expected, factor), f"factor {factor}"

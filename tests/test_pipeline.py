@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        GapWeightRule, Graph, IrreparableDisconnection, NoFeasibleSubgraph,
-                       brute_force_dcs, density, extract_dcs, generate_planted,
-                       repair_connectivity, result_to_doc,
+                       brute_force_dcs, connected_components, density, extract_dcs,
+                       generate_planted, repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
+from dualdense.formats import parse_edge_list
 from helpers import (brute_dcs, physically_connected, random_dual_network,
                      random_graph, random_partial_dual, reference_repair, relaxed_connected)
 
@@ -117,6 +118,26 @@ class TestExtractDcs:
         # Headline density covers connectors; the undiluted core is separate.
         assert repaired.core_density == 1.0
         assert repaired.conceptual_density == 0.5
+
+    @pytest.mark.parametrize("delta", [1, 2, 4, math.inf])
+    def test_tied_components_break_on_least_pair_ids(self, delta):
+        # Two unit 3-leaf stars, x and y, tie on conceptual density (1.5) and
+        # size (4).  The edge lists name y first, so y's conceptual and
+        # physical nodes hold the smaller indices; the correspondence gives
+        # x the smaller pair ids, so x is selected.
+        edges = [f"{s}c {s}l{i}" for s in "yx" for i in (1, 2, 3)]
+        dn = DualNetwork(parse_edge_list([f"{e} 1.0" for e in edges], weighted=True),
+                         parse_edge_list(edges, weighted=False),
+                         tuple((lab, lab) for lab in
+                               "xl1 yl1 xl2 yl2 xl3 yl3 xc yc".split()))
+        result = extract_dcs(dn, DcsOptions(delta=delta))
+        # The peel keeps all 8 pairs, so the selection sees the tie.
+        assert result.trace.best_prefix_index == 0
+        peeled = result.trace.removal_order
+        assert len(connected_components(result.alignment.graph, peeled)) == 2
+        assert result.nodes == frozenset({0, 2, 4, 6})
+        assert result.core_density == result.conceptual_density == 1.5
+        assert result.connector_nodes == frozenset()
 
 
 class TestVerifyPhysicalConnectivity:
