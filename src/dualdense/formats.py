@@ -23,71 +23,74 @@ from .errors import ParseError
 from .graph import Graph
 
 
-def _data_lines(source: Iterable[str], usage: str, name: str | None) -> Iterator[tuple]:
-    """``(line number, whitespace-split fields)`` of each line that is not
-    blank or a ``#`` comment.  A line with other than as many fields as
-    ``usage`` names is a ParseError: ``expected N fields (usage), got M``."""
-    expected = len(usage.split())
+def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = None) -> Graph:
+    """Parse an undirected edge list into a Graph.
+
+    One loop reads each line: a blank or ``#``-led line is skipped; any
+    other must hold ``src dst weight`` (``src dst`` when unweighted, weight
+    1.0), then ``src != dst``, then a finite weight above 0, each a
+    ParseError naming the line.  Labels get ids in order of first
+    appearance and each edge goes straight into ``Graph``'s collapse table,
+    where a repeated pair keeps its largest weight.
+    """
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    table: dict[int, float] | set[int] = {} if weighted else set()
+    keep = table.setdefault if weighted else table.add
+    expected, usage = (3, "src dst weight") if weighted else (2, "src dst")
+    line_no = skipped = 0
     for line_no, raw in enumerate(source, 1):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
+        if not fields or fields[0][0] == "#":
+            skipped += 1
             continue
         if len(fields) != expected:
             raise ParseError(f"expected {expected} fields ({usage}), got {len(fields)}",
                              line_no, name)
-        yield line_no, fields
+        src, dst = fields[0], fields[1]
+        if src == dst:
+            raise ParseError(f"self-loop on {src!r}", line_no, name)
+        if weighted:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise ParseError(f"invalid weight {fields[2]!r}", line_no, name) from None
+            if not 0.0 < w < math.inf:
+                raise ParseError(f"edge weight must be positive, got {fields[2]}", line_no, name)
+        # len(index) is the next free id, so ids follow first appearance.
+        u, v = intern(src, len(index)), intern(dst, len(index))
+        key = u << 32 | v if u < v else v << 32 | u
+        if not weighted:
+            keep(key)
+        elif keep(key, w) < w:  # a repeated pair keeps the larger weight
+            table[key] = w
 
-
-def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = None) -> Graph:
-    """Parse an undirected edge list into a Graph.
-
-    Unweighted lists get weight 1.0 everywhere; a weight column on an
-    unweighted parse (or a missing one on a weighted parse) is an error, as
-    are non-positive weights and self-loops.  Each edge goes straight into
-    the graph's integer-keyed table, where duplicates collapse to the
-    maximum weight (counted on the resulting graph).
-    """
-    index: dict[str, int] = {}
-    intern = index.setdefault
-
-    def triples():
-        for line_no, fields in _data_lines(source, "src dst weight" if weighted else "src dst",
-                                           name):
-            src, dst = fields[0], fields[1]
-            if src == dst:
-                raise ParseError(f"self-loop on {src!r}", line_no, name)
-            if weighted:
-                try:
-                    w = float(fields[2])
-                except ValueError:
-                    raise ParseError(f"invalid weight {fields[2]!r}", line_no, name) from None
-                if not math.isfinite(w) or w <= 0:
-                    raise ParseError(f"edge weight must be positive, got {fields[2]}",
-                                     line_no, name)
-            else:
-                w = 1.0
-            # len(index) is the next free id, so ids follow first appearance.
-            yield intern(src, len(index)), intern(dst, len(index)), w
-
+    g = Graph.__new__(Graph)
     # Graph rejects edge weights whose total overflows; that is an input
-    # error too, so it becomes a ParseError naming the file.  Errors raised
-    # while reading lines pass through (``_load`` reports undecodable text).
+    # error too, so it becomes a ParseError naming the file.
     try:
-        return Graph._from_index(index, triples())
-    except (ParseError, UnicodeDecodeError):
-        raise
+        g._fill(index, table, line_no - skipped)
     except ValueError as exc:
         raise ParseError(str(exc), None, name) from None
+    return g
 
 
 def parse_correspondence(source: Iterable[str],
                          name: str | None = None) -> tuple[tuple[str, str], ...]:
     """Parse ``conceptual physical`` pairs, one per line, into the pair
-    tuple ``DualNetwork`` takes; duplicates on either side are rejected
-    (the mapping must be one-to-one)."""
+    tuple ``DualNetwork`` takes.  Blank and ``#`` lines are skipped as in
+    ``parse_edge_list``; duplicates on either side are rejected (the
+    mapping must be one-to-one)."""
     pairs: dict[str, str] = {}
     seen_p: set[str] = set()
-    for line_no, (c, p) in _data_lines(source, "conceptual physical", name):
+    for line_no, raw in enumerate(source, 1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields (conceptual physical), got {len(fields)}",
+                             line_no, name)
+        c, p = fields
         if c in pairs:
             raise ParseError(f"duplicate conceptual label {c!r}", line_no, name)
         if p in seen_p:
@@ -131,7 +134,7 @@ def write_text(text: str, path: str | None = None) -> None:
 
 
 def _data_line(*fields: str) -> str:
-    """A tab-separated line that ``_data_lines`` reads back as ``fields``;
+    """A tab-separated line that the parsers read back as ``fields``;
     ValueError if a field is empty or holds whitespace (it would not read
     back as one field), or if the first starts with ``#`` (a comment line)."""
     for field in fields:

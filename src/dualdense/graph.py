@@ -23,8 +23,10 @@ class Graph:
 
     Nodes are indices ``0..n-1``; ``labels[i]`` is the external name of node
     ``i`` and the label->index mapping is bijective.  Duplicate edges in the
-    input collapse to the maximum weight in one integer-keyed table and are
-    counted in ``duplicates_collapsed``.
+    input collapse to the maximum weight in one integer-keyed table, which
+    ``Graph(labels, edges)`` and ``formats.parse_edge_list`` each fill in
+    their own checking loop and ``_fill`` turns into rows; they are counted
+    in ``duplicates_collapsed``.
 
     Node u's neighbours and their weights are two parallel rows, sorted by
     neighbor index.  Rows are only read once built: a node with no edge may
@@ -42,63 +44,63 @@ class Graph:
                 raise ValueError(f"duplicate node label {lab!r}")
             index[lab] = i
         n = len(labels)
-
-        def checked() -> Iterator[IndexEdge]:
-            for u, v, w in edges:
-                # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
-                if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
-                        and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
-                    raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
-                if u == v:
-                    raise ValueError(f"self-loop on node {labels[u]!r}")
-                if (not isinstance(w, (int, float)) or type(w) is bool
-                        or not math.isfinite(w) or w <= 0):
-                    raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
-                yield u, v, float(w)
-
-        self._collapse(index, checked())
-
-    @classmethod
-    def _from_index(cls, index: dict[str, int], edges: Iterable[IndexEdge]) -> "Graph":
-        """The graph over the labels of ``index`` (label -> id, in id order)
-        and edges keeping every rule ``__init__`` checks, weights floats."""
-        g = cls.__new__(cls)
-        g._collapse(index, edges)
-        return g
-
-    def _collapse(self, index: dict[str, int], edges: Iterable[IndexEdge]) -> None:
-        """Collapse the edges into one table keyed by ``u << 32 | v``, u < v,
-        and build the rows from its sorted keys, which sort as the pairs
-        ``(u, v)`` do.  Keys decode through ``index``'s own id ints, so the
-        rows share one int object per node, not one per entry."""
         table: dict[int, float] = {}
         keep = table.setdefault
-        count = 0
-        for count, (u, v, w) in enumerate(edges, 1):
+        seen = 0
+        for seen, (u, v, w) in enumerate(edges, 1):
+            # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
+            if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
+                    and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
+                raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
+            if u == v:
+                raise ValueError(f"self-loop on node {labels[u]!r}")
+            if (not isinstance(w, (int, float)) or type(w) is bool
+                    or not math.isfinite(w) or w <= 0):
+                raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
+            w = float(w)
             key = u << 32 | v if u < v else v << 32 | u
             # A repeated pair keeps the larger weight.
             if keep(key, w) < w:
                 table[key] = w
+        self._fill(index, table, seen)
+
+    def _fill(self, index: dict[str, int], table: dict[int, float] | set[int],
+              seen: int) -> None:
+        """The one row builder: this graph over ``index`` (label -> id, in
+        id order) and the collapse ``table`` made of ``seen`` input edges.
+
+        ``table`` maps each key ``u << 32 | v``, u < v, to its weight, or is
+        the set of keys when every weight is 1.0.  Rows come from the sorted
+        keys, which sort as the pairs ``(u, v)`` do, and decode through
+        ``index``'s own id ints, so rows share one int object per node."""
         self.labels = tuple(index)
         self._index = index
         ids = list(index.values())
         nbrs: list[list[int]] = [[] for _ in ids]
-        wts: list[list[float]] = [[] for _ in ids]
-        for key in sorted(table):
-            u, v, w = ids[key >> 32], ids[key & 0xFFFFFFFF], table[key]
-            nbrs[u].append(v)
-            wts[u].append(w)
-            nbrs[v].append(u)
-            wts[v].append(w)
+        if isinstance(table, dict):
+            wts: list[list[float]] = [[] for _ in ids]
+            for key in sorted(table):
+                u, v, w = ids[key >> 32], ids[key & 0xFFFFFFFF], table[key]
+                nbrs[u].append(v)
+                wts[u].append(w)
+                nbrs[v].append(u)
+                wts[v].append(w)
+            try:
+                self.total_weight = math.fsum(table.values())
+            except OverflowError:
+                self.total_weight = math.inf
+        else:
+            for key in sorted(table):
+                u, v = ids[key >> 32], ids[key & 0xFFFFFFFF]
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            wts = [[1.0] * len(row) for row in nbrs]
+            self.total_weight = float(len(table))
         self._nbrs = nbrs
         self._wts = wts
         self.edge_count = len(table)
-        self.duplicates_collapsed = count - len(table)
+        self.duplicates_collapsed = seen - len(table)
         # Densities sum volumes, so twice the total weight must stay finite.
-        try:
-            self.total_weight = math.fsum(table.values())
-        except OverflowError:
-            self.total_weight = math.inf
         if not math.isfinite(2.0 * self.total_weight):
             raise ValueError("edge weights too large: twice their total overflows a float")
 
@@ -176,7 +178,7 @@ class Graph:
             yield self.labels[u], self.labels[v], w
 
     def is_unit_weighted(self) -> bool:
-        return all(w == 1.0 for row in self._wts for w in row)
+        return {1.0}.issuperset(chain.from_iterable(self._wts))
 
     def subgraph(self, members: Iterable[int]) -> "Graph":
         """Induced subgraph with labels preserved: node i of the result is

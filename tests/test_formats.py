@@ -135,6 +135,27 @@ class TestParseEdgeList:
         assert str(info.value) == message
         assert (info.value.line_no is None) == (":line" not in message)
 
+    def test_check_order_and_weight_tokens(self):
+        for text, message in [
+            # The self-loop check comes before the weight check.
+            ("a a x\n", "line 1: self-loop on 'a'"),
+            # A ``#`` after the first field is data, so it adds a field.
+            ("a b 1 #c\n", "line 1: expected 3 fields (src dst weight), got 4"),
+            # Infinite, underflowing to 0, and negative zero.
+            *((f"a b {token}\n", f"line 1: edge weight must be positive, got {token}")
+              for token in ["inf", "-inf", "1e-400", "-0.0"]),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_edge_list(io.StringIO(text), weighted=True)
+            assert (str(info.value), info.value.line_no) == (message, 1)
+        # A line led by ``#`` is skipped whatever its field count; a
+        # ``#``-led second field is a label; ``+1`` is the weight 1.0.
+        assert parse_edge_list(io.StringIO("#a b\n"), weighted=True).n == 0
+        assert parse_edge_list(io.StringIO("# a b c d\n"), weighted=False).n == 0
+        g = parse_edge_list(io.StringIO("a b +1\na #b 1\n"), weighted=True)
+        assert g.labels == ("a", "b", "#b")
+        assert (edge_weight(g, 0, 1), edge_weight(g, 0, 2)) == (1.0, 1.0)
+
     @settings(max_examples=300, deadline=None)
     @given(text=FUZZ_TEXT, weighted=st.booleans())
     def test_totality_on_fuzz(self, text, weighted):
@@ -163,6 +184,24 @@ class TestParseEdgeList:
         assert (g.total_weight, g.duplicates_collapsed) == (8e307, 1)
 
 
+@st.composite
+def correspondence_texts(draw):
+    """A correspondence file the parser accepts: one-to-one pairs, some
+    physical labels led by ``#``, between comments, blank and
+    whitespace-only lines, with CRLF endings and tabs."""
+    conceptual = draw(st.lists(st.sampled_from(["w1", "w2", "é", "c#", "x"]), unique=True))
+    physical = draw(st.lists(st.sampled_from(["v1", "v2", "#p", "#", "日本", "q#"]),
+                             min_size=len(conceptual), max_size=len(conceptual), unique=True))
+    lines = []
+    for pair in zip(conceptual, physical):
+        separator = draw(st.sampled_from([" ", "\t", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + separator.join(pair))
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", "#", "# w1 v1", "  #c d e"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
 class TestParseCorrespondence:
     def test_pairs(self):
         corr = parse_correspondence(io.StringIO("w1 v1\nw2 v2\n"))
@@ -182,6 +221,11 @@ class TestParseCorrespondence:
 
     def test_empty_file_is_empty_correspondence(self):
         assert parse_correspondence(io.StringIO("")) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=correspondence_texts())
+    def test_matches_reference(self, text):
+        assert parse_correspondence(io.StringIO(text)) == tuple(map(tuple, data_lines(text)))
 
     @pytest.mark.parametrize("text, message", [
         ("w1\n", "f.tsv:line 1: expected 2 fields (conceptual physical), got 1"),
