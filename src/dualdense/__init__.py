@@ -5,6 +5,9 @@ physical graph over corresponding nodes.  The pipeline merges the two into
 a weighted alignment graph (match/gap scoring with a hop threshold), peels
 it greedily for a densest subgraph, and verifies or repairs physical
 connectivity of the selection.
+
+``oracle`` and ``synth``, which the pipeline never runs, load on first use
+of one of their names, so importing the package does not compile them.
 """
 
 from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_weight
@@ -12,12 +15,10 @@ from .dualnet import DualNetwork
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError, WeightUnderflow)
 from .graph import Graph, connected_components, density
-from .oracle import OracleResult, brute_force_dcs
 from .peel import DensestResult, PeelTrace, peel
 from .pipeline import (Connectivity, DcsOptions, DcsResult, extract_dcs,
                        repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
-from .synth import PlantedInstance, generate_planted
 
 __version__ = "0.1.0"
 
@@ -33,3 +34,13 @@ __all__ = [
     "repair_connectivity", "result_to_doc", "verify_physical_connectivity",
     "PlantedInstance", "generate_planted",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("OracleResult", "brute_force_dcs"):
+        from . import oracle as module
+    elif name in ("PlantedInstance", "generate_planted"):
+        from . import synth as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

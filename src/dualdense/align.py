@@ -26,12 +26,11 @@ target's search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .dualnet import DualNetwork
 from .errors import ConfigError, WeightUnderflow
-from .graph import Graph, connected_components, distances_from
+from .graph import Graph, Record, connected_components, distances_from
 
 MATCH = "match"
 GAP = "gap"
@@ -65,8 +64,7 @@ def gap_weight(rule: GapWeightRule, w_c: float, d: int) -> float:
     raise ConfigError(f"unknown gap weight rule: {rule!r}")
 
 
-@dataclass
-class AlignmentGraph:
+class AlignmentGraph(Record):
     """A weighted graph over composite nodes plus per-edge match/gap tags.
 
     Composite node k corresponds to correspondence pair k; its label is
@@ -77,11 +75,14 @@ class AlignmentGraph:
     read by the searcher build.
     """
 
-    graph: Graph
-    dual: DualNetwork
-    delta: float
-    gap_mode: GapWeightRule
-    _kinds: dict[tuple[int, int], tuple[str, int]] | None = None
+    def __init__(self, graph: Graph, dual: DualNetwork, delta: float,
+                 gap_mode: GapWeightRule,
+                 _kinds: dict[tuple[int, int], tuple[str, int]] | None = None):
+        self.graph = graph
+        self.dual = dual
+        self.delta = delta
+        self.gap_mode = gap_mode
+        self._kinds = _kinds
 
     @property
     def kinds(self) -> dict[tuple[int, int], tuple[str, int]]:

@@ -21,10 +21,8 @@ from .dualnet import DualNetwork
 from .errors import (ConfigError, IrreparableDisconnection, NoFeasibleSubgraph,
                      ParseError, WeightUnderflow)
 from .graph import connected_components, density
-from .oracle import brute_force_dcs
 from .peel import peel
 from .pipeline import Connectivity, DcsOptions, extract_dcs, result_to_doc
-from .synth import generate_planted
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -88,6 +86,7 @@ def cmd_peel(args) -> str:
 
 
 def cmd_oracle(args) -> str:
+    from .oracle import brute_force_dcs
     dn = _load_dual(args)
     result = brute_force_dcs(dn, max_nodes=args.max_oracle_nodes)
     doc = {
@@ -102,6 +101,7 @@ def cmd_oracle(args) -> str:
 
 
 def cmd_gen(args) -> None:
+    from .synth import generate_planted
     inst = generate_planted(args.nodes, args.planted_size, args.seed,
                             background_weight_cap=args.background_weight_cap,
                             background_edge_prob=args.background_edge_prob)

@@ -4,8 +4,8 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .graph import Graph, check_ids, density
 

@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .align import AlignmentGraph, delta_doc
 from .errors import ParseError
@@ -28,8 +28,9 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
 
     One loop reads each line: a blank or ``#``-led line is skipped; any
     other must hold ``src dst weight`` (``src dst`` when unweighted, weight
-    1.0), then ``src != dst``, then a finite weight above 0, each a
-    ParseError naming the line.  Labels get ids in order of first
+    1.0), then ``src != dst``, then a weight token of ASCII characters
+    other than ``_`` that ``float`` reads, then a finite weight above 0,
+    each a ParseError naming the line.  Labels get ids in order of first
     appearance and each edge goes straight into ``Graph``'s collapse table,
     where a repeated pair keeps its largest weight.
     """
@@ -52,6 +53,10 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
             raise ParseError(f"self-loop on {src!r}", line_no, name)
         if weighted:
             try:
+                # ``float`` also reads digit-group underscores and non-ASCII
+                # digits, which no weight in an edge list may hold.
+                if "_" in fields[2] or not fields[2].isascii():
+                    raise ValueError
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"invalid weight {fields[2]!r}", line_no, name) from None

@@ -10,12 +10,30 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 IndexEdge = tuple[int, int, float]
 LabelEdge = tuple[str, str, float]
+
+
+class Record:
+    """Base of the package's plain result and option records: ``==``
+    compares two records of one class field by field, ``repr`` names every
+    field, and records stay mutable and, as ``__eq__`` without ``__hash__``
+    makes them, unhashable.  The fields are the instance attributes, in the
+    order ``__init__`` sets them.  (Records are not dataclasses:
+    ``dataclasses`` would add its imports to every CLI start.)"""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Graph:
@@ -70,9 +88,11 @@ class Graph:
         id order) and the collapse ``table`` made of ``seen`` input edges.
 
         ``table`` maps each key ``u << 32 | v``, u < v, to its weight, or is
-        the set of keys when every weight is 1.0.  Rows come from the sorted
-        keys, which sort as the pairs ``(u, v)`` do, and decode through
-        ``index``'s own id ints, so rows share one int object per node."""
+        the set of keys when every weight is 1.0.  Keys decode through
+        ``index``'s own id ints, so rows share one int object per node.
+        Weighted rows come from the sorted keys, which sort as the pairs
+        ``(u, v)`` do; unweighted rows are sorted one by one, since small
+        ids sort faster than the wide keys."""
         self.labels = tuple(index)
         self._index = index
         ids = list(index.values())
@@ -90,10 +110,12 @@ class Graph:
             except OverflowError:
                 self.total_weight = math.inf
         else:
-            for key in sorted(table):
+            for key in table:
                 u, v = ids[key >> 32], ids[key & 0xFFFFFFFF]
                 nbrs[u].append(v)
                 nbrs[v].append(u)
+            for row in nbrs:
+                row.sort()
             wts = [[1.0] * len(row) for row in nbrs]
             self.total_weight = float(len(table))
         self._nbrs = nbrs
@@ -222,7 +244,7 @@ def density(g: Graph, members: Iterable[int]) -> float:
 
 
 def reach(g: Graph, sources: Iterable[int], cap: float = math.inf,
-          within: Optional[Collection[int]] = None) -> set[int]:
+          within: Collection[int] | None = None) -> set[int]:
     """Nodes at most ``cap`` hops from the sources, sources included.
 
     Grows one ball a whole layer at a time, each layer one C-level set
@@ -242,7 +264,7 @@ def reach(g: Graph, sources: Iterable[int], cap: float = math.inf,
 
 
 def nearest(g: Graph, sources: Iterable[int],
-            targets: Collection[int]) -> Optional[list[int]]:
+            targets: Collection[int]) -> list[int] | None:
     """Shortest path from a source to the first target reached, or None
     when no target is reachable.
 
@@ -283,7 +305,7 @@ _SOURCE_BIAS = 4
 
 
 def distances_from(g: Graph, s: int,
-                   cap: float = math.inf) -> Callable[[int], Optional[int]]:
+                   cap: float = math.inf) -> Callable[[int], int | None]:
     """Searcher answering hop distances from s: it maps a target t to
     d(s, t), or to None when that exceeds ``cap`` or t is unreachable.
 
@@ -315,7 +337,7 @@ def distances_from(g: Graph, s: int,
     inner = 1
     half = (cap + 1) // 2 if cap < math.inf else 0  # ceil(cap / 2)
 
-    def distance(t: int) -> Optional[int]:
+    def distance(t: int) -> int | None:
         nonlocal inner
         if t in ball:
             return next((k for k, layer in enumerate(layers, -1) if t in layer), len(layers) - 1)

@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
-from .graph import Graph, density
+from .graph import Graph, Record, density
 
 
-@dataclass
-class PeelTrace:
+class PeelTrace(Record):
     """Audit trail of one peeling run.
 
     ``density_at_prefix[i]`` is the density of the graph remaining before
@@ -27,10 +25,12 @@ class PeelTrace:
     all tied indices are recorded.
     """
 
-    removal_order: list[int]
-    density_at_prefix: list[float]
-    best_prefix_index: int
-    tied_prefix_indices: list[int] = field(default_factory=list)
+    def __init__(self, removal_order: list[int], density_at_prefix: list[float],
+                 best_prefix_index: int, tied_prefix_indices: list[int] | None = None):
+        self.removal_order = removal_order
+        self.density_at_prefix = density_at_prefix
+        self.best_prefix_index = best_prefix_index
+        self.tied_prefix_indices = [] if tied_prefix_indices is None else tied_prefix_indices
 
     def to_doc(self, labels: Sequence[str]) -> dict:
         """JSON-ready fields of the trace, with nodes named by ``labels``;
@@ -43,10 +43,10 @@ class PeelTrace:
         }
 
 
-@dataclass
-class DensestResult:
-    nodes: frozenset[int]
-    density: float
+class DensestResult(Record):
+    def __init__(self, nodes: frozenset[int], density: float):
+        self.nodes = nodes
+        self.density = density
 
 
 def peel(g: Graph) -> tuple[DensestResult, PeelTrace]:

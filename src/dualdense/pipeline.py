@@ -6,15 +6,14 @@ and physical-connectivity verification with optional repair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta,
                     delta_doc)
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import connected_components, density, nearest, reach
+from .graph import Record, connected_components, density, nearest, reach
 from .peel import PeelTrace, peel
 
 
@@ -23,22 +22,27 @@ class Connectivity(Enum):
     RELAXED = "relaxed"
 
 
-@dataclass
-class DcsOptions:
-    """Pipeline knobs.
+class DcsOptions(Record):
+    """Pipeline knobs.  The class attributes are the defaults.
 
     ``repair`` only matters in STRICT mode (relaxed mode never adds
     connector nodes).
     """
 
-    delta: float = 4
-    gap_mode: GapWeightRule = GapWeightRule.PER_HOP
-    connectivity: Connectivity = Connectivity.STRICT
-    repair: bool = True
+    delta = 4
+    gap_mode = GapWeightRule.PER_HOP
+    connectivity = Connectivity.STRICT
+    repair = True
+
+    def __init__(self, delta: float = delta, gap_mode: GapWeightRule = gap_mode,
+                 connectivity: Connectivity = connectivity, repair: bool = repair):
+        self.delta = delta
+        self.gap_mode = gap_mode
+        self.connectivity = connectivity
+        self.repair = repair
 
 
-@dataclass
-class DcsResult:
+class DcsResult(Record):
     """Pipeline output, all node sets expressed as correspondence pair ids.
 
     ``nodes`` is the peeled core; ``connector_nodes`` are the additions made
@@ -47,15 +51,20 @@ class DcsResult:
     covers the core alone; they coincide when no repair happened.
     """
 
-    nodes: frozenset[int]
-    connector_nodes: frozenset[int]
-    conceptual_density: float
-    core_density: float
-    alignment_density: float
-    physically_connected: bool
-    trace: PeelTrace
-    alignment: AlignmentGraph
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, nodes: frozenset[int], connector_nodes: frozenset[int],
+                 conceptual_density: float, core_density: float,
+                 alignment_density: float, physically_connected: bool,
+                 trace: PeelTrace, alignment: AlignmentGraph,
+                 warnings: list[str] | None = None):
+        self.nodes = nodes
+        self.connector_nodes = connector_nodes
+        self.conceptual_density = conceptual_density
+        self.core_density = core_density
+        self.alignment_density = alignment_density
+        self.physically_connected = physically_connected
+        self.trace = trace
+        self.alignment = alignment
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def all_nodes(self) -> frozenset[int]:

@@ -144,6 +144,9 @@ class TestParseEdgeList:
             # Infinite, underflowing to 0, and negative zero.
             *((f"a b {token}\n", f"line 1: edge weight must be positive, got {token}")
               for token in ["inf", "-inf", "1e-400", "-0.0"]),
+            # ``float`` reads these, but a weight is ASCII with no ``_``.
+            *((f"a b {token}\n", f"line 1: invalid weight {token!r}")
+              for token in ["1_000", "\uff11", "\u0661.5"]),
         ]:
             with pytest.raises(ParseError) as info:
                 parse_edge_list(io.StringIO(text), weighted=True)

@@ -10,12 +10,17 @@ Multiplying every conceptual weight by a power of two multiplies every
 weight, sum and density the pipeline computes by the same factor, exactly,
 so every comparison (and tie) it makes comes out the same: the selection,
 the connectors and the peel order stay, and each density scales.
+
+Nodes outside the correspondence never enter the alignment graph, a
+density or a connector path, so appending physical leaves and
+conceptual-only nodes to the edge lists changes no byte of the output.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import random
 from pathlib import Path
 
@@ -39,6 +44,8 @@ OPTION_SETS = {
 }
 SHUFFLE_SEEDS = (1, 2, 3)
 SCALE_FACTORS = (2.0 ** -40, 0.5, 2.0, 1024.0)
+UNCOVERED = 200
+UNCOVERED_WEIGHTS = (0.05, 1.0, 50.0)
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +145,26 @@ def test_power_of_two_weight_scaling_scales_densities(instance, options, planted
             assert got is expected, f"factor {factor}"
         else:
             assert scaled_fields(got, 1.0) == scaled_fields(expected, factor), f"factor {factor}"
+
+
+@pytest.mark.parametrize("options", sorted(OPTION_SETS))
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_uncovered_nodes_keep_dcs_output(instance, options, planted_dir, tmp_path):
+    source = planted_dir if instance == "planted" else GOLDEN / instance
+    expected = run_dcs(source, OPTION_SETS[options])
+    pairs = load_correspondence(str(source / "correspondence.tsv"))
+    physical = load_graph(str(source / "physical.tsv"), weighted=False).labels
+    conceptual = load_graph(str(source / "conceptual.tsv"), weighted=True).labels
+    new = [f"uncovered{i}" for i in range(UNCOVERED)]
+    assert not set(new) & {*physical, *conceptual}
+    rng = random.Random(311)
+    # Physical leaves hang off any physical node; conceptual-only nodes off
+    # covered conceptual nodes, light, unit and heavy in turn.
+    added = {"physical.tsv": [f"{rng.choice(physical)}\t{leaf}\n" for leaf in new],
+             "conceptual.tsv": [f"{rng.choice(pairs)[0]}\t{node}\t{w!r}\n" for node, w
+                                in zip(new, itertools.cycle(UNCOVERED_WEIGHTS))]}
+    for name, lines in added.items():
+        text = (source / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text(text + "".join(lines), encoding="utf-8")
+    (tmp_path / "correspondence.tsv").write_bytes((source / "correspondence.tsv").read_bytes())
+    assert run_dcs(tmp_path, OPTION_SETS[options]) == expected

@@ -119,6 +119,20 @@ class TestExtractDcs:
         assert repaired.core_density == 1.0
         assert repaired.conceptual_density == 0.5
 
+    def test_records_compare_field_by_field(self):
+        # Options and results are plain records: ``==`` by field, a repr
+        # naming every field, and no hash.
+        dn = triangle_with_tail()
+        result = extract_dcs(dn, DcsOptions(delta=1))
+        assert DcsOptions(1) == DcsOptions(delta=1) != DcsOptions()
+        assert result.trace == extract_dcs(dn, DcsOptions(delta=1)).trace
+        assert repr(DcsOptions(repair=False)) == (
+            "DcsOptions(delta=4, gap_mode=<GapWeightRule.PER_HOP: 'per-hop'>, "
+            "connectivity=<Connectivity.STRICT: 'strict'>, repair=False)")
+        for record in (DcsOptions(), result, result.trace, result.alignment):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+
     @pytest.mark.parametrize("delta", [1, 2, 4, math.inf])
     def test_tied_components_break_on_least_pair_ids(self, delta):
         # Two unit 3-leaf stars, x and y, tie on conceptual density (1.5) and

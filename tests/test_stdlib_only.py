@@ -1,11 +1,23 @@
 """The runtime has no dependency: every module of the package imports only
-the package itself and the standard library."""
+the package itself and the standard library.  Importing the CLI loads none
+of the modules that ``dcs`` never runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dualdense"
+import pytest
+
+import dualdense
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "dualdense"
+# Heavy standard modules (``dataclasses`` alone imports ``inspect``, ``ast``,
+# ``dis`` and ``tokenize``) and the package modules only ``oracle`` and
+# ``gen`` run.
+NOT_AT_START = ("dataclasses", "inspect", "typing", "dualdense.oracle", "dualdense.synth")
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -35,3 +47,21 @@ def test_local_imports_are_seen(tmp_path):
     source.write_text("from . import a\nimport os.path\ndef f():\n"
                       "    from xml.sax import saxutils\n    import numpy as np\n")
     assert absolute_imports(source) == {"os.path", "xml.sax", "numpy"}
+
+
+def test_cli_start_loads_nothing_dcs_does_not_run():
+    # ``-S`` skips ``site``, whose path hooks may import ``typing`` themselves.
+    code = f"import sys, dualdense.cli; print(sorted(set({NOT_AT_START!r}) & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert run.stdout == "[]\n"
+
+
+def test_lazy_exports():
+    namespace: dict = {}
+    exec("from dualdense import *", namespace)
+    assert set(dualdense.__all__) <= namespace.keys()
+    assert dualdense.brute_force_dcs is dualdense.oracle.brute_force_dcs
+    assert dualdense.generate_planted is dualdense.synth.generate_planted
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dualdense.no_such_name
