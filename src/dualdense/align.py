@@ -15,12 +15,12 @@ Otherwise ``DualNetwork.candidates`` yields each conceptual node's
 candidates together, and one capped bidirectional searcher per source
 physical node (``graph.distances_from``) answers them all: distance 1 is a
 match, and distances 2..delta are gaps.  The source's side of the search
-is shared by those candidates and grows first, to radius about delta/2,
-unless a target's side is much smaller; each candidate then grows only its
-own side, so the work per candidate grows with the balls of radius about
-delta/2 around its endpoints rather than with one ball of radius delta,
-and memory stays that of the two graphs plus one source's layers and one
-target's search.
+is shared by those candidates and grows first, to radius about delta/2
+(3 at delta = infinity), unless a target's side is much smaller; each
+candidate then grows only its own side, so the work per candidate grows
+with the balls of radius about delta/2 around its endpoints rather than
+with one ball of radius delta, and memory stays that of the two graphs
+plus one source's layers and one target's search.
 """
 
 from __future__ import annotations
@@ -164,6 +164,10 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
+    # ``gap_weight``'s rule, picked once: a candidate's w > 0 and its d >= 2
+    # need no check, and edges of one distance share one kind.
+    per_hop = gap_mode is GapWeightRule.PER_HOP
+    kind_at = {1: (MATCH, 1)}
     source = distance = None
     for ki, kj, w in dn.candidates():
         pi, pj = pair_physical[ki], pair_physical[kj]
@@ -172,15 +176,14 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
         d = distance(pj)
         if d is None:
             continue
-        if d == 1:
-            kind = (MATCH, 1)
-        else:
-            weight = gap_weight(gap_mode, w, d)
+        kind = kind_at.get(d) or kind_at.setdefault(d, (GAP, d))
+        if per_hop and d > 1:
+            weight = w / d
             if not weight:
                 raise WeightUnderflow(
                     f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
                     f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
-            kind, w = (GAP, d), weight
+            w = weight
         if ki > kj:
             ki, kj = kj, ki
         edges.append((ki, kj, w))

@@ -302,6 +302,11 @@ def nearest(g: Graph, sources: Iterable[int],
 # bench workload and a 20k-node instance, 4 and 8 read the same rows and 2
 # a few more; from 16 on, a hub's capped searcher reads its leaves' rows.
 _SOURCE_BIAS = 4
+# The radius of ``distances_from``'s source-first phase at cap = inf.  On
+# the 20k-node instance's per-hop inf build, 3 read the fewest adjacency
+# rows (2.96M, against 3.81M with no such phase, 3.80M at 2 and 3.00M from
+# 4 on) and tied 4 for the fastest.
+_SOURCE_RADIUS = 3
 
 
 def distances_from(g: Graph, s: int,
@@ -319,10 +324,10 @@ def distances_from(g: Graph, s: int,
     ball lies r + 1 hops away.  Farther targets grow their own side from
     that row: each step grows one side by one layer, and the first new
     layer that meets the other side gives the distance.  Until s's side,
-    which later targets reuse, reaches radius ``ceil(cap / 2)``, it is the
-    side that grows unless the target's outer layer is under a quarter of
-    its own; past that radius, and always at ``cap`` = inf, the side with
-    the smaller outer layer grows.  At ``cap`` <= 2 the two rules pick the
+    which later targets reuse, reaches radius ``ceil(cap / 2)``, or 3 at
+    ``cap`` = inf, it is the side that grows unless the target's outer
+    layer is under a quarter of its own; past that radius the side with the
+    smaller outer layer grows.  At ``cap`` <= 2 the two rules pick the
     same side.  On the last step ``cap`` allows, the target side only tests
     its outer layer's rows against the ball.  An empty outer layer marks
     its side's component as exhausted.
@@ -335,7 +340,7 @@ def distances_from(g: Graph, s: int,
     layers = [set(), {s}]
     ball = {s, *nbrs[s]}
     inner = 1
-    half = (cap + 1) // 2 if cap < math.inf else 0  # ceil(cap / 2)
+    half = (cap + 1) // 2 if cap < math.inf else _SOURCE_RADIUS  # ceil(cap / 2) if capped
 
     def distance(t: int) -> int | None:
         nonlocal inner

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from enum import Enum
+from itertools import chain
 
 from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_delta,
                     delta_doc)
@@ -106,14 +107,18 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
     must belong to the dual universe so their conceptual density is
     defined).  Each round adds the interior of the lexicographically least
     shortest path, in pair ids, that joins two components: shortest first,
-    then the least node sequence.  Returns only the added pairs; raises
-    IrreparableDisconnection when some components cannot be joined through
-    covered nodes.
+    then the least node sequence.  The partition is found once and kept
+    across rounds: the path's interior merges into one component with
+    every component holding a neighbour of the interior, both ends'
+    included, and the others stay as they were.  Returns only the added
+    pairs; raises IrreparableDisconnection when some components cannot be
+    joined through covered nodes.
     """
     S = dn._check(members)
     g = dn.pair_graph
     current = set(S)
     comps = connected_components(g, current)
+    comp_of = {k: comp for comp in comps for k in comp}
     while len(comps) > 1:
         # A component's nearest other member ends its least shortest path.
         joins = [path for comp in comps
@@ -122,8 +127,15 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
             raise IrreparableDisconnection(
                 "selected components cannot be joined through "
                 "correspondence-covered physical nodes")
-        current.update(min(joins, key=lambda path: (len(path), path)))
-        comps = connected_components(g, current)
+        interior = min(joins, key=lambda path: (len(path), path))[1:-1]
+        current.update(interior)
+        # Components are lists, so they are told apart by identity.
+        touched = {id(comp): comp for v in interior for u in g.neighbors(v)
+                   if (comp := comp_of.get(u)) is not None}
+        merged = sorted(chain(interior, *touched.values()))
+        comps = [comp for comp in comps if id(comp) not in touched]
+        comps.append(merged)
+        comp_of.update(dict.fromkeys(merged, merged))
     return frozenset(current - S)
 
 

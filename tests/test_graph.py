@@ -409,6 +409,23 @@ def test_capped_source_side_grows_first():
         assert g._nbrs.read == {c}
 
 
+def test_uncapped_source_side_grows_first_to_radius_three():
+    # A spider: source 0 has three legs 0-a-b-c-d-e, each target e five
+    # hops away.  At cap inf the source side, not the target's, grows
+    # first, as under a cap, but to radius 3: the first target then grows
+    # its own side once to meet the ball, and so does every later target,
+    # reading only its own row and d's.
+    legs = [range(1, 6), range(6, 11), range(11, 16)]
+    g = unit_graph(16, [edge for leg in legs for edge in zip([0, *leg], leg)])
+    distance = distances_from(g, 0)
+    assert distance(5) == 5
+    assert g._nbrs.read == {0, 1, 6, 11, 2, 7, 12, 4, 5}
+    for *_, d, e in legs[1:]:
+        g._nbrs.read.clear()
+        assert distance(e) == 5
+        assert g._nbrs.read == {d, e}
+
+
 def test_exhausted_source_reads_no_row():
     # Once the source's component {0, 1} is exhausted, targets in the path
     # 2-...-99 are answered without reading any adjacency row.

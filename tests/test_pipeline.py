@@ -2,6 +2,7 @@ import math
 import random
 import resource
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        generate_planted, repair_connectivity, result_to_doc,
                        verify_physical_connectivity)
 from dualdense.formats import parse_edge_list
+from dualdense.graph import nearest
 from helpers import (brute_dcs, physically_connected, random_dual_network,
                      random_graph, random_partial_dual, reference_repair, relaxed_connected)
 
@@ -265,6 +267,16 @@ class TestRepairConnectivity:
         connectors = repair_connectivity(dn, {0, 3, 6})
         assert connectors == frozenset({1, 2, 4, 5})
         assert physically_connected(dn, {0, 3, 6} | connectors)
+
+    def test_connector_merges_every_touched_component(self):
+        # A star: members a, b and c hang off the covered node x.  The least
+        # join is a-x-b, and x also touches c, so the one round that adds x
+        # merges all three components: one nearest search per component,
+        # and no second round.
+        dn = identity_dual([(0, 1, 1.0)], [(0, 3), (1, 3), (2, 3)], list("abcx"))
+        with mock.patch("dualdense.pipeline.nearest", wraps=nearest) as searched:
+            assert repair_connectivity(dn, {0, 1, 2}) == frozenset({3})
+        assert searched.call_count == 3
 
 
 @settings(max_examples=300, deadline=None)
