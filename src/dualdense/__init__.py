@@ -10,7 +10,7 @@ connectivity of the selection.
 of one of their names, so importing the package does not compile them.
 """
 
-from .align import AlignmentGraph, GapWeightRule, build_alignment_graph, gap_weight
+from .align import AlignmentGraph, GapWeightRule, build_alignment_graph
 from .dualnet import DualNetwork
 from .errors import (ConfigError, DualDenseError, IrreparableDisconnection,
                      NoFeasibleSubgraph, ParseError, WeightUnderflow)
@@ -23,7 +23,7 @@ from .pipeline import (Connectivity, DcsOptions, DcsResult, extract_dcs,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentGraph", "GapWeightRule", "build_alignment_graph", "gap_weight",
+    "AlignmentGraph", "GapWeightRule", "build_alignment_graph",
     "DualNetwork",
     "ConfigError", "DualDenseError", "IrreparableDisconnection",
     "NoFeasibleSubgraph", "ParseError", "WeightUnderflow",

@@ -50,20 +50,6 @@ class GapWeightRule(Enum):
     PER_HOP = "per-hop"
 
 
-def gap_weight(rule: GapWeightRule, w_c: float, d: int) -> float:
-    """Weight assigned to a gap edge with conceptual weight w_c spanning a
-    physical detour of d >= 2 hops."""
-    if w_c <= 0:
-        raise ValueError(f"conceptual weight must be positive, got {w_c}")
-    if d < 2:
-        raise ValueError(f"gap distance must be at least 2, got {d}")
-    if rule is GapWeightRule.CONCEPTUAL:
-        return w_c
-    if rule is GapWeightRule.PER_HOP:
-        return w_c / d
-    raise ConfigError(f"unknown gap weight rule: {rule!r}")
-
-
 class AlignmentGraph(Record):
     """A weighted graph over composite nodes plus per-edge match/gap tags.
 
@@ -105,10 +91,12 @@ def check_delta(delta) -> float:
 def parse_delta(text: str) -> float:
     """Read a gap threshold written as an integer or as 'inf' (in any case,
     surrounding spaces allowed), checked by ``check_delta``."""
-    if text.strip().lower() == "inf":
-        return math.inf
     try:
-        value = int(text)
+        # ``int`` also reads digit-group underscores and non-ASCII digits,
+        # which a delta, like an edge weight, may not hold.
+        if "_" in text or not text.isascii():
+            raise ValueError
+        value = math.inf if text.strip().lower() == "inf" else int(text)
     except ValueError:
         raise ConfigError(f"delta must be a positive integer or 'inf', got {text!r}") from None
     return check_delta(value)
@@ -164,8 +152,8 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
     kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    # ``gap_weight``'s rule, picked once: a candidate's w > 0 and its d >= 2
-    # need no check, and edges of one distance share one kind.
+    # ``GapWeightRule``'s rule, picked once: a candidate's w > 0 and its
+    # d >= 2 need no check, and edges of one distance share one kind.
     per_hop = gap_mode is GapWeightRule.PER_HOP
     kind_at = {1: (MATCH, 1)}
     source = distance = None

@@ -19,12 +19,12 @@ LabelEdge = tuple[str, str, float]
 
 
 class Record:
-    """Base of the package's plain result and option records: ``==``
-    compares two records of one class field by field, ``repr`` names every
-    field, and records stay mutable and, as ``__eq__`` without ``__hash__``
-    makes them, unhashable.  The fields are the instance attributes, in the
-    order ``__init__`` sets them.  (Records are not dataclasses:
-    ``dataclasses`` would add its imports to every CLI start.)"""
+    """The package's one record base, for every result and option record:
+    ``==`` compares two records of one class field by field, ``repr`` names
+    every field, and records stay mutable and, as ``__eq__`` without
+    ``__hash__`` makes them, unhashable.  The fields are the instance
+    attributes, in the order ``__init__`` sets them.  (Records are not
+    dataclasses: ``dataclasses`` would add its imports to every start.)"""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

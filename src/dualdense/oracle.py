@@ -8,19 +8,18 @@ nature; the size cap exists so nobody points this at a case-study network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dualnet import DualNetwork
 from .errors import ConfigError
+from .graph import Record
 
 DEFAULT_NODE_CAP = 25
 
 
-@dataclass
-class OracleResult:
-    nodes: frozenset[int]
-    density: float
-    explored: int
+class OracleResult(Record):
+    def __init__(self, nodes: frozenset[int], density: float, explored: int):
+        self.nodes = nodes
+        self.density = density
+        self.explored = explored
 
 
 def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,

@@ -50,6 +50,8 @@ class DcsResult(Record):
     by connectivity repair (disjoint from the core).  The headline
     ``conceptual_density`` covers core plus connectors, ``core_density``
     covers the core alone; they coincide when no repair happened.
+    ``warnings`` stays empty: the selected core always holds an alignment
+    edge, so it has at least two pairs.
     """
 
     def __init__(self, nodes: frozenset[int], connector_nodes: frozenset[int],
@@ -156,7 +158,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
             f"(delta={opts.delta}, {dn.pair_count} composite nodes)")
 
     peeled, trace = peel(ag.graph)
-    core_density, size, negated_ids = max(
+    core_density, _, negated_ids = max(
         (dn.conceptual_density(comp), len(comp), tuple(-k for k in comp))
         for comp in connected_components(ag.graph, peeled.nodes))
     selected = frozenset(-k for k in negated_ids)
@@ -170,8 +172,7 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
         alignment_density=density(ag.graph, selected),
         physically_connected=(opts.connectivity is Connectivity.RELAXED
                               or verify_physical_connectivity(dn, selected, opts.connectivity)),
-        trace=trace, alignment=ag,
-        warnings=["best component is a single node (density 0)"] if size == 1 else [])
+        trace=trace, alignment=ag)
 
     if not result.physically_connected and opts.repair:
         try:

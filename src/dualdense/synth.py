@@ -10,18 +10,17 @@ strictly worse).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .dualnet import DualNetwork
 from .errors import ConfigError
-from .graph import Graph
+from .graph import Graph, Record
 
 
-@dataclass
-class PlantedInstance:
-    dual: DualNetwork
-    planted: frozenset[int]  # pair ids == node indices (identity correspondence)
-    seed: int
+class PlantedInstance(Record):
+    def __init__(self, dual: DualNetwork, planted: frozenset[int], seed: int):
+        self.dual = dual
+        self.planted = planted  # pair ids == node indices (identity correspondence)
+        self.seed = seed
 
 
 def _random_tree_edges(rng: random.Random, nodes: list[int]) -> set[tuple[int, int]]:

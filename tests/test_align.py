@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, DualDenseError,
                        DualNetwork, GapWeightRule, Graph, build_alignment_graph,
-                       WeightUnderflow, extract_dcs, gap_weight, generate_planted,
+                       WeightUnderflow, extract_dcs, generate_planted,
                        result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.graph import distances_from
@@ -24,25 +24,6 @@ def dual_from(conc_edges, phys_edges, n):
     physical = Graph(plabels, [(u, v, 1.0) for u, v in phys_edges])
     corr = tuple(zip(clabels, plabels))
     return DualNetwork(conceptual, physical, corr)
-
-
-class TestGapWeight:
-    def test_conceptual_rule_is_identity(self):
-        assert gap_weight(GapWeightRule.CONCEPTUAL, 0.8, 3) == 0.8
-
-    @pytest.mark.parametrize("w,d,expected", [(0.8, 2, 0.4), (1.0, 4, 0.25)])
-    def test_per_hop_divides(self, w, d, expected):
-        assert gap_weight(GapWeightRule.PER_HOP, w, d) == pytest.approx(expected)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ConfigError):
-            gap_weight("halved", 0.8, 2)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gap_weight(GapWeightRule.PER_HOP, 0.8, 1)
-        with pytest.raises(ValueError):
-            gap_weight(GapWeightRule.PER_HOP, 0.0, 2)
 
 
 class TestBuildAlignmentGraph:
@@ -97,7 +78,8 @@ class TestBuildAlignmentGraph:
     def test_parse_delta(self, text, delta):
         assert parse_delta(text) == delta
 
-    @pytest.mark.parametrize("text", ["0", "-3", "1.5", "x", "", "infinity"])
+    @pytest.mark.parametrize("text", ["0", "-3", "1.5", "x", "", "infinity",
+                                      "1_0", "\uff13", "\u0663"])
     def test_parse_delta_rejects(self, text):
         with pytest.raises(ConfigError):
             parse_delta(text)
@@ -254,13 +236,14 @@ def test_connectivity_transfer(seed, n, delta):
 def test_alignment_graph_matches_rebuilt_graph(seed, n, parts):
     # The graph built without ``Graph``'s checks equals ``Graph`` built from
     # the candidates its kinds keep, on dual networks with isolated and
-    # uncovered nodes and three distinct index spaces.
+    # uncovered nodes and three distinct index spaces.  A match's distance
+    # is 1, so w / d is its weight under either rule.
     rng = random.Random(seed)
     for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
         for delta, rule in product((1, 2, 3, 4, math.inf), GapWeightRule):
             ag = build_alignment_graph(dn, delta, rule)
-            edges = [(ki, kj, w if kind_of(ag, ki, kj)[0] == MATCH
-                      else gap_weight(rule, w, kind_of(ag, ki, kj)[1]))
+            edges = [(ki, kj, w if rule is GapWeightRule.CONCEPTUAL
+                      else w / kind_of(ag, ki, kj)[1])
                      for ki, kj, w in dn.candidates()
                      if ((ki, kj) if ki < kj else (kj, ki)) in ag.kinds]
             labels = [composite_label(c, p) for c, p in dn.pairs]

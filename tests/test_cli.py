@@ -103,6 +103,8 @@ class TestDcsCommand:
     def test_bad_delta_exit_3(self, toy_instance, capsys):
         assert main(["dcs", *dual_args(toy_instance), "--delta", "zero"]) == 3
         assert main(["dcs", *dual_args(toy_instance), "--delta", "0"]) == 3
+        # ``int`` reads "1_0" as 10, but no delta may hold "_".
+        assert main(["dcs", *dual_args(toy_instance), "--delta", "1_0"]) == 3
 
     def test_infeasible_exit_1(self, tmp_path, capsys):
         # a and b live in different physical components: no match edge at

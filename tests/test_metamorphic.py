@@ -6,6 +6,10 @@ endpoints renumbers the conceptual and physical nodes but keeps the pair
 ids, which follow the correspondence file, so every tie-break keyed on
 pair ids gives the same bytes and exit code.
 
+Shuffling the correspondence lines renumbers the pairs.  Pair ids order the
+connectors' paths and the peel trace, but not the selected core: the core,
+its conceptual density, the connectivity verdict and the exit code stay.
+
 Multiplying every conceptual weight by a power of two multiplies every
 weight, sum and density the pipeline computes by the same factor, exactly,
 so every comparison (and tie) it makes comes out the same: the selection,
@@ -21,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -105,6 +110,32 @@ def test_line_order_and_orientation_keep_dcs_output(instance, options, planted_d
         (tmp_path / "correspondence.tsv").write_bytes(
             (source / "correspondence.tsv").read_bytes())
         assert run_dcs(tmp_path, OPTION_SETS[options]) == expected, f"shuffle seed {seed}"
+
+
+def core_outcome(directory: Path, options) -> tuple:
+    """``dcs``'s exit code with its selected core, the core's conceptual
+    density and the connectivity verdict, or with None when the run writes
+    nothing (an irreparable selection)."""
+    code, out = run_dcs(directory, options)
+    if not out:
+        return code, None
+    doc = json.loads(out)
+    return code, doc["nodes"], doc["core_conceptual_density"], doc["physically_connected"]
+
+
+@pytest.mark.parametrize("options", sorted(OPTION_SETS))
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_correspondence_order_keeps_dcs_core(instance, options, planted_dir, tmp_path):
+    source = planted_dir if instance == "planted" else GOLDEN / instance
+    expected = core_outcome(source, OPTION_SETS[options])
+    for name in ("conceptual.tsv", "physical.tsv"):
+        (tmp_path / name).write_bytes((source / name).read_bytes())
+    lines = (source / "correspondence.tsv").read_text(encoding="utf-8").splitlines()
+    for seed in SHUFFLE_SEEDS:
+        shuffled = random.Random(seed).sample(lines, len(lines))
+        (tmp_path / "correspondence.tsv").write_text(
+            "".join(line + "\n" for line in shuffled), encoding="utf-8")
+        assert core_outcome(tmp_path, OPTION_SETS[options]) == expected, f"shuffle seed {seed}"
 
 
 def dcs_outcome(dn: DualNetwork, options):

@@ -49,12 +49,21 @@ def test_local_imports_are_seen(tmp_path):
     assert absolute_imports(source) == {"os.path", "xml.sax", "numpy"}
 
 
-def test_cli_start_loads_nothing_dcs_does_not_run():
-    # ``-S`` skips ``site``, whose path hooks may import ``typing`` themselves.
-    code = f"import sys, dualdense.cli; print(sorted(set({NOT_AT_START!r}) & set(sys.modules)))"
+def loaded_after(imports: str, names) -> str:
+    """Which of ``names`` a fresh ``python -S`` has loaded after ``imports``.
+    ``-S`` skips ``site``, whose path hooks may import ``typing`` themselves."""
+    code = f"import sys, {imports}; print(sorted(set({tuple(names)!r}) & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_cli_start_loads_nothing_dcs_does_not_run():
+    assert loaded_after("dualdense.cli", NOT_AT_START) == "[]\n"
+
+
+def test_oracle_and_gen_load_no_dataclasses():
+    assert loaded_after("dualdense.oracle, dualdense.synth", ("dataclasses",)) == "[]\n"
 
 
 def test_lazy_exports():

@@ -1,0 +1,71 @@
+"""Work counts of the pipeline on seed 311 of each benchmark workload.
+
+Times drift with the host; these counts do not.  They are the same on
+Python 3.10 to 3.13 and under any ``PYTHONHASHSEED``.  Two count work done,
+and are ceilings, so that an algorithmic regression fails here even where
+timing noise hides it: the physical adjacency rows that
+``build_alignment_graph`` reads, and the ``nearest`` calls that
+``extract_dcs`` makes to repair.  The sizes (candidates, alignment edges,
+core pairs and connectors) are exact.  A change that moves a value states
+the new value and the reason in ``CHANGES.md``.
+
+The instances come from the benchmark's own generator, which this only
+imports; nothing under ``perfbench/`` is written to.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from dualdense import (Connectivity, DcsOptions, DualNetwork, GapWeightRule,
+                       build_alignment_graph, extract_dcs, pipeline)
+from dualdense.formats import load_correspondence, load_graph
+from helpers import ReadLog
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from workloads import WORKLOADS, write_instance  # noqa: E402
+
+SEED = 311
+# Per workload: exact sizes, then work ceilings.
+EXPECTED = {
+    "scale-d1": ({"candidates": 50_000, "alignment_edges": 75, "core_pairs": 8,
+                  "connectors": 0},
+                 {"build_rows_read": 10_000, "nearest_calls": 0}),
+    "gap-d4": ({"candidates": 10_000, "alignment_edges": 9_999, "core_pairs": 40,
+                "connectors": 36},
+               {"build_rows_read": 41_227, "nearest_calls": 729}),
+    "reach-inf": ({"candidates": 10_000, "alignment_edges": 10_000, "core_pairs": 8,
+                   "connectors": 0},
+                  {"build_rows_read": 2_000, "nearest_calls": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_work_counts(name, tmp_path):
+    w = WORKLOADS[name]
+    write_instance(w, SEED, tmp_path)
+    physical = load_graph(str(tmp_path / "physical.tsv"), weighted=False)
+    dn = DualNetwork(load_graph(str(tmp_path / "conceptual.tsv"), weighted=True), physical,
+                     load_correspondence(str(tmp_path / "correspondence.tsv")))
+    opts = DcsOptions(delta=w.delta, gap_mode=GapWeightRule(w.gap_mode),
+                      connectivity=Connectivity(w.connectivity))
+    physical._nbrs = log = ReadLog(physical._nbrs)
+    ag = build_alignment_graph(dn, opts.delta, opts.gap_mode)
+    rows_read = sum(log.counts.values())
+    with mock.patch.object(pipeline, "nearest", wraps=pipeline.nearest) as nearest:
+        result = extract_dcs(dn, opts)
+
+    sizes, ceilings = EXPECTED[name]
+    assert {"candidates": sum(1 for _ in dn.candidates()),
+            "alignment_edges": ag.graph.edge_count,
+            "core_pairs": len(result.nodes),
+            "connectors": len(result.connector_nodes)} == sizes
+    work = {"build_rows_read": rows_read, "nearest_calls": nearest.call_count}
+    assert {key: value for key, value in work.items() if value > ceilings[key]} == {}, work
