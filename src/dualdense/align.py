@@ -8,9 +8,11 @@ Gap(d) edge weighted by the selected gap rule; anything farther yields no
 edge.  Three builds serve the three cases.  At delta = 1 no gap edge can
 exist, so the alignment graph is the dual network's shared edge set
 (``DualNetwork.shared_edges``), found by set intersections with no search.
-delta = infinity turns the distance test into same-component
-reachability; under the conceptual rule, where a gap weighs w_c at any
-distance, physical component labels then decide it with no search.
+delta = infinity turns the distance test into same-component reachability;
+under the conceptual rule, where a gap weighs w_c at any distance, the
+alignment graph is the covered conceptual graph in pair ids cut along
+physical components, each component's pairs inducing their own rows
+(``Graph._induced``) with no search, no candidate list and no sort.
 Otherwise ``DualNetwork.candidates`` yields each conceptual node's
 candidates together, and one capped bidirectional searcher per source
 physical node (``graph.distances_from``) answers them all: distance 1 is a
@@ -136,10 +138,11 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
         return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
     if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
         component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
-        label = [component[p] for p in dn.pair_physical]
-        edges = [(ki, kj, w) if ki < kj else (kj, ki, w)
-                 for ki, kj, w in dn.candidates() if label[ki] == label[kj]]
-        return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode)
+        groups: dict[int, dict[int, int]] = {}  # conceptual node -> pair id
+        for k, (ci, pi) in enumerate(zip(dn.pair_conceptual, dn.pair_physical)):
+            groups.setdefault(component[pi], {})[ci] = k
+        return AlignmentGraph(dn.conceptual._induced(labels, groups.values()),
+                              dn, delta, gap_mode)
     edges, kinds = _search(dn, delta, gap_mode)
     return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
 

@@ -9,9 +9,10 @@ Graphs are immutable after construction; concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 
 IndexEdge = tuple[int, int, float]
@@ -72,8 +73,9 @@ class Graph:
                 raise ValueError(f"edge endpoint out of range: ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"self-loop on node {labels[u]!r}")
+            # The chained test refuses NaN, and an int past float range before converting it.
             if (not isinstance(w, (int, float)) or type(w) is bool
-                    or not math.isfinite(w) or w <= 0):
+                    or not 0 < w <= sys.float_info.max):
                 raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
             w = float(w)
             key = u << 32 | v if u < v else v << 32 | u
@@ -146,14 +148,10 @@ class Graph:
     @classmethod
     def _from_edges(cls, labels: Sequence[str], edges: Iterable[IndexEdge]) -> "Graph":
         """``Graph(labels, edges)`` for edges ``(u, v, w)`` with u < v, each
-        pair once, that already keep every rule ``__init__`` checks.
-
-        When the edges name fewer endpoints, repeats counted, than there
-        are nodes, only endpoints get rows of their own lists, and every
-        edgeless node shares the empty tuple, which no node can grow: a
-        graph with few edges over many nodes then allocates few objects for
-        the cyclic collector to count and scan.  Otherwise finding the
-        endpoints would cost more than it saves, and every node gets lists."""
+        pair once, that already keep every rule ``__init__`` checks.  When the
+        edges name fewer endpoints, repeats counted, than there are nodes, the
+        edgeless nodes share the empty tuple, so few edges over many nodes make
+        few objects for the cyclic collector to scan; else every node gets lists."""
         edges = sorted(edges)
         n = len(labels)
         nbrs: list[Sequence[int]] = [()] * n
@@ -204,19 +202,28 @@ class Graph:
 
     def subgraph(self, members: Iterable[int]) -> "Graph":
         """Induced subgraph with labels preserved: node i of the result is
-        the i-th distinct member in the order given."""
+        the i-th distinct member in the order given, as ``_induced``'s one group."""
         order = list(dict.fromkeys(check_ids(members, self.n)))
-        new_id = {old: new for new, old in enumerate(order)}.get
-        nbrs: list[list[int]] = [[] for _ in order]
-        wts: list[list[float]] = [[] for _ in order]
-        # Each member joins its member neighbors' rows in member order, so
-        # every row comes out sorted with no sort.
-        for new, old in enumerate(order):
-            for v, w in zip(map(new_id, self._nbrs[old]), self._wts[old]):
-                if v is not None:
-                    nbrs[v].append(new)
-                    wts[v].append(w)
-        return Graph._from_rows([self.labels[i] for i in order], nbrs, wts)
+        return self._induced([self.labels[i] for i in order], [dict(zip(order, count()))])
+
+    def _induced(self, labels: Sequence[str], groups: Iterable[dict[int, int]]) -> "Graph":
+        """The one induced-row loop: the graph over ``labels`` of this graph's
+        edges within a group, each group mapping old ids to new ids ascending.
+        Members join their group neighbours' rows in that order, so rows come
+        out sorted with no sort; a node with no edge keeps the shared ``()``."""
+        nbrs: list[Sequence] = [()] * len(labels)
+        wts: list[Sequence] = nbrs.copy()
+        for group in groups:
+            new_id = group.get
+            for old, new in group.items():
+                if self._nbrs[old]:
+                    nbrs[new], wts[new] = [], []
+            for old, new in group.items():
+                for v, w in zip(map(new_id, self._nbrs[old]), self._wts[old]):
+                    if v is not None:
+                        nbrs[v].append(new)
+                        wts[v].append(w)
+        return Graph._from_rows(labels, nbrs, wts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.edge_count})"

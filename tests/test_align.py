@@ -1,6 +1,10 @@
+import gc
 import math
 import random
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,9 +16,12 @@ from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, Du
                        WeightUnderflow, extract_dcs, generate_planted,
                        result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
+from dualdense.formats import load_correspondence, load_graph
 from dualdense.graph import distances_from
 from helpers import (assert_same_rows, bfs_hops, edge_weight, hub_dual, kind_of,
                      random_dual_network, random_partial_dual)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def dual_from(conc_edges, phys_edges, n):
@@ -310,6 +317,54 @@ def test_label_build_matches_searcher_build(seed, n, parts):
         with mock.patch("dualdense.pipeline.build_alignment_graph", searched_alignment):
             expected = _outcome(dn, opts)
         assert _outcome(dn, opts) == expected
+
+
+def _raise(*args):
+    raise AssertionError("the label build enumerated candidates or sorted edges")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 20), parts=st.integers(1, 4))
+def test_label_rows_when_index_spaces_disagree(seed, n, parts):
+    # Shuffled, the correspondence puts pair ids, conceptual ids and
+    # physical ids in three different orders, and the physical components
+    # interleave in pair-id order; each row must still come out sorted.
+    rng = random.Random(seed)
+    dn = split_dual(rng, n, parts)
+    physical = [p for _, p in dn.pairs]
+    rng.shuffle(physical)
+    pairs = [(c, p) for (c, _), p in zip(dn.pairs, physical)]
+    rng.shuffle(pairs)
+    dn = DualNetwork(dn.conceptual, dn.physical, pairs)
+    with mock.patch.object(DualNetwork, "candidates", _raise), \
+            mock.patch.object(Graph, "_from_edges", _raise):
+        labelled = build_alignment_graph(dn, math.inf, GapWeightRule.CONCEPTUAL)
+    edges = [(ki, kj, w) for ki, kj, w in dn.candidates()
+             if bfs_hops(dn.physical, dn.pair_physical[ki], dn.pair_physical[kj]) is not None]
+    labels = [composite_label(c, p) for c, p in dn.pairs]
+    assert_same_rows(labelled.graph, Graph(labels, edges))
+
+
+def test_label_build_holds_no_edge_list(tmp_path):
+    # The label build fills the rows it keeps; it builds no candidate or
+    # edge list beside them, so its traced peak stays near what it keeps.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from workloads import WORKLOADS, write_instance
+
+    write_instance(WORKLOADS["reach-inf"], 311, tmp_path)
+    dn = DualNetwork(load_graph(str(tmp_path / "conceptual.tsv"), weighted=True),
+                     load_graph(str(tmp_path / "physical.tsv"), weighted=False),
+                     load_correspondence(str(tmp_path / "correspondence.tsv")))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ag = build_alignment_graph(dn, math.inf, GapWeightRule.CONCEPTUAL)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ag.graph.edge_count == 10_000
+    assert peak <= 1.35 * kept, (peak, kept)
 
 
 def _outcome(dn, opts):

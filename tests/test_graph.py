@@ -51,10 +51,14 @@ class TestConstruction:
             density(Graph(["a", "b"], [(0, 1, 1.0)]), [0, bad])
         assert str(info.value) == f"node {bad!r} is not in the graph"
 
-    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf, True])
+    # An int past float range is refused before any conversion can overflow.
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf, True,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(2**1024, id="2**1024")])
     def test_bad_weight_rejected(self, w):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             Graph(["a", "b"], [(0, 1, w)])
+        assert str(info.value) == f"edge weight must be a positive finite number, got {w!r}"
 
     # The second case overflows inside fsum, the third only when doubled.
     @pytest.mark.parametrize("weights", [[1e308], [1e308, 1e308], [8.9e307, 8.9e307]])

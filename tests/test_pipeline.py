@@ -383,6 +383,6 @@ def test_default_delta_at_c8_scale():
 
 
 def test_conceptual_infinite_delta_at_c8_scale():
-    # Component labels decide every gap; nothing searches a distance.
+    # Each physical component's pairs induce their rows; nothing searches a distance.
     _assert_within_c8_budgets(DcsOptions(delta=math.inf, gap_mode=GapWeightRule.CONCEPTUAL,
                                          connectivity=Connectivity.RELAXED))
