@@ -14,11 +14,13 @@ class DualNetwork:
     """A validated dual network.
 
     ``pairs`` is the correspondence: one ``(conceptual_label,
-    physical_label)`` pair per shared node.  Pair k becomes the shared node
-    identity: helper tables map pair ids to node indices in either graph,
-    and the methods below answer in pair ids, so no other module needs
-    the tables.  Nodes of either graph that appear in no pair stay in their
-    graphs but are excluded from alignment and from any extracted subgraph.
+    physical_label)`` tuple per shared node, of the graphs' own label
+    objects, so that the caller's copies can be freed.  Pair k becomes the
+    shared node identity: helper tables map pair ids to node indices in
+    either graph, and the methods below answer in pair ids, so no other
+    module needs the tables.  Nodes of either graph that appear in no pair
+    stay in their graphs but are excluded from alignment and from any
+    extracted subgraph.
     """
 
     __slots__ = ("conceptual", "physical", "pairs", "pair_conceptual",
@@ -26,7 +28,6 @@ class DualNetwork:
 
     def __init__(self, conceptual: Graph, physical: Graph,
                  pairs: Iterable[tuple[str, str]]):
-        pairs = tuple(pairs)
         c_index, p_index = conceptual._index, physical._index
         pair_conceptual: list = []
         pair_physical: list = []
@@ -52,7 +53,7 @@ class DualNetwork:
             if len(dangling) > len(shown):
                 shown.append("...")
             problems.append(f"{len(dangling)} dangling labels ({', '.join(shown)})")
-        if not pairs:
+        if not pair_conceptual:
             problems.append("correspondence is empty")
         if not physical.is_unit_weighted():
             problems.append("physical network must have unit edge weights")
@@ -61,7 +62,8 @@ class DualNetwork:
 
         self.conceptual = conceptual
         self.physical = physical
-        self.pairs = pairs
+        self.pairs = tuple(zip(map(conceptual.labels.__getitem__, pair_conceptual),
+                               map(physical.labels.__getitem__, pair_physical)))
         self.pair_conceptual = pair_conceptual
         self.pair_physical = pair_physical
         self.pair_of_conceptual = {i: k for k, i in enumerate(pair_conceptual)}

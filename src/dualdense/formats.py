@@ -30,20 +30,18 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
     other must hold ``src dst weight`` (``src dst`` when unweighted, weight
     1.0), then ``src != dst``, then a weight token of ASCII characters
     other than ``_`` that ``float`` reads, then a finite weight above 0,
-    each a ParseError naming the line.  Labels get ids in order of first
-    appearance and each edge goes straight into ``Graph``'s collapse table,
-    where a repeated pair keeps its largest weight.
+    each a ParseError naming the line.  Labels get ids, and rows, in order
+    of first appearance, and each edge goes straight into both endpoints'
+    rows; ``Graph._finish`` then sorts them and collapses a repeated pair
+    to its largest weight.
     """
     index: dict[str, int] = {}
-    intern = index.setdefault
-    table: dict[int, float] | set[int] = {} if weighted else set()
-    keep = table.setdefault if weighted else table.add
+    nbrs: list[list[int]] = []
+    wts: list[list[float]] = []
     expected, usage = (3, "src dst weight") if weighted else (2, "src dst")
-    line_no = skipped = 0
     for line_no, raw in enumerate(source, 1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
-            skipped += 1
             continue
         if len(fields) != expected:
             raise ParseError(f"expected {expected} fields ({usage}), got {len(fields)}",
@@ -62,19 +60,29 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
                 raise ParseError(f"invalid weight {fields[2]!r}", line_no, name) from None
             if not 0.0 < w < math.inf:
                 raise ParseError(f"edge weight must be positive, got {fields[2]}", line_no, name)
-        # len(index) is the next free id, so ids follow first appearance.
-        u, v = intern(src, len(index)), intern(dst, len(index))
-        key = u << 32 | v if u < v else v << 32 | u
-        if not weighted:
-            keep(key)
-        elif keep(key, w) < w:  # a repeated pair keeps the larger weight
-            table[key] = w
+        # A new label takes the next free id, so ids follow first appearance,
+        # and empty rows; ``_finish`` builds an unweighted graph's weight rows.
+        u = index.get(src)
+        if u is None:
+            u = index[src] = len(nbrs)
+            nbrs.append([])
+            wts.append([] if weighted else ())
+        v = index.get(dst)
+        if v is None:
+            v = index[dst] = len(nbrs)
+            nbrs.append([])
+            wts.append([] if weighted else ())
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+        if weighted:
+            wts[u].append(w)
+            wts[v].append(w)
 
     g = Graph.__new__(Graph)
     # Graph rejects edge weights whose total overflows; that is an input
     # error too, so it becomes a ParseError naming the file.
     try:
-        g._fill(index, table, line_no - skipped)
+        g._finish(index, nbrs, wts if weighted else None)
     except ValueError as exc:
         raise ParseError(str(exc), None, name) from None
     return g

@@ -41,15 +41,16 @@ class Graph:
     """Simple undirected graph: no self-loops, no parallel edges, weights > 0.
 
     Nodes are indices ``0..n-1``; ``labels[i]`` is the external name of node
-    ``i`` and the label->index mapping is bijective.  Duplicate edges in the
-    input collapse to the maximum weight in one integer-keyed table, which
-    ``Graph(labels, edges)`` and ``formats.parse_edge_list`` each fill in
-    their own checking loop and ``_fill`` turns into rows; they are counted
-    in ``duplicates_collapsed``.
+    ``i`` and the label->index mapping is bijective.  ``Graph(labels, edges)``
+    and ``formats.parse_edge_list`` each append every input edge to both
+    endpoints' rows in their own checking loop, with no edge table beside
+    them; ``_finish`` sorts the rows and collapses a repeated neighbour to
+    its maximum weight, counting the dropped edges in ``duplicates_collapsed``.
 
     Node u's neighbours and their weights are two parallel rows, sorted by
     neighbor index.  Rows are only read once built: a node with no edge may
-    share one immutable empty row with the other edgeless nodes.
+    share one immutable empty row with the other edgeless nodes, and the
+    unit-weight rows of nodes of one degree may be one shared tuple.
     """
 
     __slots__ = ("labels", "_index", "_nbrs", "_wts", "edge_count",
@@ -63,10 +64,11 @@ class Graph:
                 raise ValueError(f"duplicate node label {lab!r}")
             index[lab] = i
         n = len(labels)
-        table: dict[int, float] = {}
-        keep = table.setdefault
-        seen = 0
-        for seen, (u, v, w) in enumerate(edges, 1):
+        # Rows hold ``index``'s own id ints, one int object per node.
+        ids = list(index.values())
+        nbrs: list[list[int]] = [[] for _ in ids]
+        wts: list[list[float]] = [[] for _ in ids]
+        for u, v, w in edges:
             # ``check_ids``'s rule inline; ``type`` is the cheapest exact bool test.
             if not (isinstance(u, int) and type(u) is not bool and 0 <= u < n
                     and isinstance(v, int) and type(v) is not bool and 0 <= v < n):
@@ -78,55 +80,52 @@ class Graph:
                     or not 0 < w <= sys.float_info.max):
                 raise ValueError(f"edge weight must be a positive finite number, got {w!r}")
             w = float(w)
-            key = u << 32 | v if u < v else v << 32 | u
-            # A repeated pair keeps the larger weight.
-            if keep(key, w) < w:
-                table[key] = w
-        self._fill(index, table, seen)
+            nbrs[u].append(ids[v])
+            wts[u].append(w)
+            nbrs[v].append(ids[u])
+            wts[v].append(w)
+        self._finish(index, nbrs, wts)
 
-    def _fill(self, index: dict[str, int], table: dict[int, float] | set[int],
-              seen: int) -> None:
-        """The one row builder: this graph over ``index`` (label -> id, in
-        id order) and the collapse ``table`` made of ``seen`` input edges.
+    def _finish(self, index: dict[str, int], nbrs: list[list[int]],
+                wts: list[list[float]] | None) -> None:
+        """The one row finisher: this graph over ``index`` (label -> id, in
+        id order) and, per node, the unsorted rows of its input edges'
+        other ends and weights, or ``wts`` None when every weight is 1.0.
 
-        ``table`` maps each key ``u << 32 | v``, u < v, to its weight, or is
-        the set of keys when every weight is 1.0.  Keys decode through
-        ``index``'s own id ints, so rows share one int object per node.
-        Weighted rows come from the sorted keys, which sort as the pairs
-        ``(u, v)`` do; unweighted rows are sorted one by one, since small
-        ids sort faster than the wide keys."""
-        self.labels = tuple(index)
-        self._index = index
-        ids = list(index.values())
-        nbrs: list[list[int]] = [[] for _ in ids]
-        if isinstance(table, dict):
-            wts: list[list[float]] = [[] for _ in ids]
-            for key in sorted(table):
-                u, v, w = ids[key >> 32], ids[key & 0xFFFFFFFF], table[key]
-                nbrs[u].append(v)
-                wts[u].append(w)
-                nbrs[v].append(u)
-                wts[v].append(w)
-            try:
-                self.total_weight = math.fsum(table.values())
-            except OverflowError:
-                self.total_weight = math.inf
-        else:
-            for key in table:
-                u, v = ids[key >> 32], ids[key & 0xFFFFFFFF]
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-            for row in nbrs:
+        Each row becomes a tuple sorted by neighbour, where a repeated
+        neighbour keeps its largest weight; ``duplicates_collapsed`` counts
+        the edges so dropped.  Unit-weight rows share one ``(1.0,) * d``
+        tuple per degree d.  Tuples of ints and floats drop out of the
+        cyclic collector's scans."""
+        seen = sum(map(len, nbrs)) // 2
+        if wts is None:
+            for u, row in enumerate(nbrs):
                 row.sort()
-            wts = [[1.0] * len(row) for row in nbrs]
-            self.total_weight = float(len(table))
-        self._nbrs = nbrs
-        self._wts = wts
-        self.edge_count = len(table)
-        self.duplicates_collapsed = seen - len(table)
+                nbrs[u] = tuple(row) if len(set(row)) == len(row) else tuple(sorted(set(row)))
+            unit = {d: (1.0,) * d for d in set(map(len, nbrs))}
+            wts = [unit[len(row)] for row in nbrs]
+        else:
+            for u, row in enumerate(nbrs):
+                # Sorted pairs put a neighbour's largest weight last; the dict keeps it.
+                kept = dict(sorted(zip(row, wts[u])))
+                nbrs[u], wts[u] = tuple(kept), tuple(kept.values())
+        self._set_rows(tuple(index), index, nbrs, wts)
+        self.duplicates_collapsed = seen - self.edge_count
         # Densities sum volumes, so twice the total weight must stay finite.
         if not math.isfinite(2.0 * self.total_weight):
             raise ValueError("edge weights too large: twice their total overflows a float")
+
+    def _set_rows(self, labels: tuple[str, ...], index: dict[str, int],
+                  nbrs: list[Sequence[int]], wts: list[Sequence[float]]) -> None:
+        """Keep finished rows over ``labels`` and their ``index``, and count
+        their edges and total weight."""
+        self.labels, self._index, self._nbrs, self._wts = labels, index, nbrs, wts
+        self.edge_count = sum(map(len, nbrs)) // 2
+        # Each weight is in two rows; halving their exact sum is exact.
+        try:
+            self.total_weight = math.fsum(chain.from_iterable(wts)) / 2
+        except OverflowError:
+            self.total_weight = math.inf
 
     @classmethod
     def _from_rows(cls, labels: Sequence[str], nbrs: list[Sequence[int]],
@@ -135,13 +134,8 @@ class Graph:
         from data already keeping every rule ``__init__`` checks, so none is
         checked again."""
         g = cls.__new__(cls)
-        g.labels = tuple(labels)
-        g._index = dict(zip(g.labels, range(len(g.labels))))
-        g._nbrs = nbrs
-        g._wts = wts
-        g.edge_count = sum(map(len, nbrs)) // 2
-        # Each weight is in two rows; halving their exact sum is exact.
-        g.total_weight = math.fsum(chain.from_iterable(wts)) / 2
+        labels = tuple(labels)
+        g._set_rows(labels, dict(zip(labels, range(len(labels)))), nbrs, wts)
         g.duplicates_collapsed = 0
         return g
 

@@ -403,23 +403,31 @@ def assert_same_rows(g: Graph, ref: Graph) -> None:
     assert g.duplicates_collapsed == 0
 
 
-def assert_collapsed(g: Graph, labels, edges) -> None:
-    """``g`` is the graph a dict keyed by ``(u, v)`` tuples makes of
-    ``labels`` and the edges ``(u, v, w)``: each pair once at its largest
-    weight, rows sorted by neighbor, and weights, ``edge_count``,
-    ``total_weight`` and ``duplicates_collapsed`` equal by ``==``."""
-    kept: dict[tuple[int, int], float] = {}
-    for u, v, w in edges:
-        key = (u, v) if u < v else (v, u)
-        if key not in kept or w > kept[key]:
-            kept[key] = float(w)
-    rows: list[dict[int, float]] = [{} for _ in labels]
-    for (u, v), w in kept.items():
-        rows[u][v] = rows[v][u] = w
+def assert_built_as_reference(g: Graph, labels, label_edges) -> None:
+    """``g`` is the graph that a dict of the largest weight per unordered
+    label pair makes of ``labels`` and the edges ``(a, b, w)``: rows sorted
+    from that dict by neighbor id, and labels, rows, weights, ``edge_count``,
+    ``duplicates_collapsed`` and ``total_weight`` equal by ``==``."""
+    kept: dict[tuple[str, str], float] = {}
+    for a, b, w in label_edges:
+        key = (a, b) if a < b else (b, a)
+        kept[key] = max(kept.get(key, 0.0), float(w))
+    ids = {label: i for i, label in enumerate(labels)}
+    rows: list[list[tuple[int, float]]] = [[] for _ in labels]
+    for (a, b), w in kept.items():
+        rows[ids[a]].append((ids[b], w))
+        rows[ids[b]].append((ids[a], w))
+    expected = [sorted(row) for row in rows]
     assert g.labels == tuple(labels)
-    assert [list(g.incident(u)) for u in range(g.n)] == [sorted(row.items()) for row in rows]
-    assert (g.edge_count, g.total_weight) == (len(kept), math.fsum(kept.values()))
-    assert g.duplicates_collapsed == len(edges) - len(kept)
+    assert [list(g.neighbors(u)) for u in range(g.n)] == [[v for v, _ in row] for row in expected]
+    assert [list(g._wts[u]) for u in range(g.n)] == [[w for _, w in row] for row in expected]
+    assert (g.edge_count, g.duplicates_collapsed) == (len(kept), len(label_edges) - len(kept))
+    assert g.total_weight == math.fsum(kept.values())
+
+
+def assert_collapsed(g: Graph, labels, edges) -> None:
+    """``assert_built_as_reference`` for edges ``(u, v, w)`` given by node id."""
+    assert_built_as_reference(g, labels, [(labels[u], labels[v], w) for u, v, w in edges])
 
 
 def shared_ints(g: Graph) -> int:

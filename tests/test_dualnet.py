@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdense import DualNetwork, Graph, density
+from dualdense.formats import parse_correspondence, parse_edge_list
 from helpers import edge_weight, random_dual_network, random_partial_dual, subset_density
 
 
@@ -24,6 +26,24 @@ class TestValidate:
         assert dn.pair_physical == [0, 1, 2]
         assert dn.pair_of_conceptual == {0: 0, 1: 1, 2: 2}
         assert dn.pairs == (("w1", "v1"), ("w2", "v2"), ("w3", "v3"))
+
+    def test_pairs_hold_the_graphs_labels(self):
+        # Three parsed files hold three copies of each label; the pairs keep
+        # the graphs' own, so the correspondence file's copies can be freed.
+        c = parse_edge_list(io.StringIO("w1 w2 0.7\nw2 w3 0.4\n"), weighted=True)
+        p = parse_edge_list(io.StringIO("v1 v2\nv3 v2\n"), weighted=False)
+        corr = parse_correspondence(io.StringIO("w3 v1\nw1 v3\nw2 v2\n"))
+        assert corr[0][0] == c.labels[2] and corr[0][0] is not c.labels[2]
+        dn = DualNetwork(c, p, corr)
+        assert dn.pairs == corr
+        for k in range(dn.pair_count):
+            assert dn.pairs[k][0] is dn.conceptual.labels[dn.pair_conceptual[k]]
+            assert dn.pairs[k][1] is dn.physical.labels[dn.pair_physical[k]]
+
+    def test_pairs_given_as_lists_come_back_as_tuples(self):
+        c, p = small_pair()
+        dn = DualNetwork(c, p, [["w1", "v1"], ["w3", "v2"]])
+        assert dn.pairs == (("w1", "v1"), ("w3", "v2"))
 
     def test_duplicate_conceptual(self):
         c, p = small_pair()

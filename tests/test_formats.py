@@ -1,8 +1,11 @@
+import gc
 import io
 import math
 import random
 import re
 import sys
+import tracemalloc
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -15,8 +18,10 @@ from dualdense.formats import (canonical_json, export_dot, export_graph, export_
                                export_json, load_correspondence, load_graph,
                                parse_correspondence, parse_edge_list, write_correspondence,
                                write_edge_list, write_text)
-from helpers import (assert_collapsed, edge_weight, graph_from_json, graphs_equal,
-                     random_dual_network, random_graph)
+from helpers import (assert_built_as_reference, assert_collapsed, edge_weight, graph_from_json,
+                     graphs_equal, random_dual_network, random_graph)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # Parser fuzzing: comment marks, quotes, NUL, digits, separators and the
@@ -187,6 +192,52 @@ class TestParseEdgeList:
         assert (g.total_weight, g.duplicates_collapsed) == (8e307, 1)
 
 
+# Weight tokens and the number each stands for in ``Graph(labels, edges)``,
+# an int where the token is integral, so that ints meet equal floats.
+WEIGHT_VALUES = {"0.5": 0.5, "1": 1, "1.0": 1.0, "1e0": 1, "2": 2, "2.50": 2.5,
+                 "5e-324": 5e-324, "1e300": 1e300}
+
+
+@st.composite
+def label_edge_lists(draw):
+    """``(lines, edges)``: edge lines ``a b w`` among ``#`` and blank lines,
+    and the edges ``(a, b, w token)`` in file order.  Four labels make
+    pairs repeat, in both orientations, at smaller, equal and larger
+    weights."""
+    edges, lines = [], []
+    for kind in draw(st.lists(st.sampled_from(["edge"] * 4 + ["comment", "blank"]),
+                              max_size=30)):
+        if kind == "edge":
+            a, b = draw(st.lists(st.sampled_from(["w1", "w2", "w3", "w4"]),
+                                 min_size=2, max_size=2, unique=True))
+            edges.append((a, b, draw(st.sampled_from(sorted(WEIGHT_VALUES)))))
+            lines.append(None)
+        else:
+            lines.append("# w1 w2 1\n" if kind == "comment" else " \n")
+    return lines, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_edge_lists(), data=st.data())
+def test_row_builder_matches_label_reference(case, data):
+    # The one row finisher, reached three ways: the parser weighted and
+    # unweighted, and ``Graph(labels, edges)`` over labels in a drawn order
+    # that adds an isolated node.
+    lines, edges = case
+    label_edges = [(a, b, WEIGHT_VALUES[w]) for a, b, w in edges]
+    labels = list(dict.fromkeys(label for a, b, _ in edges for label in (a, b)))
+    for weighted in (True, False):
+        records = iter(f"{a}\t{b}\t{w}\n" if weighted else f"{a} {b}\n" for a, b, w in edges)
+        text = "".join(line or next(records) for line in lines)
+        assert_built_as_reference(
+            parse_edge_list(io.StringIO(text), weighted=weighted), labels,
+            label_edges if weighted else [(a, b, 1) for a, b, _ in edges])
+    labels = data.draw(st.permutations([*labels, "isolated"]))
+    ids = {label: i for i, label in enumerate(labels)}
+    graph = Graph(labels, [(ids[a], ids[b], w) for a, b, w in label_edges])
+    assert_built_as_reference(graph, labels, label_edges)
+
+
 @st.composite
 def correspondence_texts(draw):
     """A correspondence file the parser accepts: one-to-one pairs, some
@@ -203,6 +254,29 @@ def correspondence_texts(draw):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", " ", "\t", "#", "# w1 v1", "  #c d e"])))
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def test_load_holds_no_edge_table(tmp_path):
+    # Each edge goes straight into its endpoints' rows, and the finisher
+    # replaces one row at a time, so loading builds no edge table beside
+    # the rows: its traced peak stays near what the graph keeps.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from workloads import WORKLOADS, write_instance
+
+    write_instance(WORKLOADS["scale-d1"], 311, tmp_path)
+    for name, weighted in (("conceptual.tsv", True), ("physical.tsv", False)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = load_graph(str(tmp_path / name), weighted=weighted)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 50_000
+        assert peak <= 1.35 * kept, (name, peak, kept)
+    # Unit-weight rows share one tuple per degree.
+    assert len({id(row) for row in g._wts}) == len({len(row) for row in g._wts})
 
 
 class TestParseCorrespondence:
