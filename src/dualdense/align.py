@@ -15,20 +15,23 @@ physical components, each component's pairs inducing their own rows
 (``Graph._induced``) with no search, no candidate list and no sort.
 Otherwise ``DualNetwork.candidates`` yields each conceptual node's
 candidates together, and one capped bidirectional searcher per source
-physical node (``graph.distances_from``) answers them all: distance 1 is a
-match, and distances 2..delta are gaps.  The source's side of the search
-is shared by those candidates and grows first, to radius about delta/2
-(3 at delta = infinity), unless a target's side is much smaller; each
-candidate then grows only its own side, so the work per candidate grows
-with the balls of radius about delta/2 around its endpoints rather than
-with one ball of radius delta, and memory stays that of the two graphs
-plus one source's layers and one target's search.
+physical node (``graph.distances_from``) answers them all.  The source's
+side of the search is shared by those candidates and grows first, to
+radius about delta/2 (3 at delta = infinity), unless a target's side is
+much smaller; each candidate then grows only its own side, so the work per
+candidate grows with the balls of radius about delta/2 around its
+endpoints rather than with one ball of radius delta, and memory stays that
+of the two graphs plus one source's layers and one target's search.
+Every build returns only its graph; ``AlignmentGraph.kinds`` finds each
+edge's kind from that graph on first read, so ``dcs`` never pays for kinds
+and ``align`` at delta >= 2 searches the physical graph a second time.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 
 from .dualnet import DualNetwork
 from .errors import ConfigError, WeightUnderflow
@@ -56,27 +59,31 @@ class AlignmentGraph(Record):
     """A weighted graph over composite nodes plus per-edge match/gap tags.
 
     Composite node k corresponds to correspondence pair k; its label is
-    ``composite_label(conceptual, physical)``.  ``kinds`` maps each edge
-    (u, v) with u < v to ("match", 1) or ("gap", d).  ``dual`` is the dual
-    network it was built from.  The label build (delta = infinity,
-    conceptual rule) knows no distances, so its kinds are found on first
-    read by the searcher build.
+    ``composite_label(conceptual, physical)``.  ``dual`` is the dual network
+    it was built from.  ``kinds`` maps each edge (u, v) with u < v to
+    ("match", 1) or ("gap", d), d being its pairs' physical hop distance,
+    found on first read by one ``distances_from`` searcher per pair u with
+    a larger neighbour and then kept; edges of one distance share one tuple.
     """
 
     def __init__(self, graph: Graph, dual: DualNetwork, delta: float,
-                 gap_mode: GapWeightRule,
-                 _kinds: dict[tuple[int, int], tuple[str, int]] | None = None):
+                 gap_mode: GapWeightRule):
         self.graph = graph
         self.dual = dual
         self.delta = delta
         self.gap_mode = gap_mode
-        self._kinds = _kinds
 
-    @property
+    @cached_property
     def kinds(self) -> dict[tuple[int, int], tuple[str, int]]:
-        if self._kinds is None:
-            self._kinds = _search(self.dual, self.delta, self.gap_mode)[1]
-        return self._kinds
+        physical, pair_physical = self.dual.physical, self.dual.pair_physical
+        kinds, by_distance = {}, {1: (MATCH, 1)}
+        source = distance = None
+        for u, v, _ in self.graph.edges():
+            if u != source:
+                source, distance = u, distances_from(physical, pair_physical[u], self.delta)
+            d = distance(pair_physical[v])
+            kinds[u, v] = by_distance.get(d) or by_distance.setdefault(d, (GAP, d))
+        return kinds
 
 
 def check_delta(delta) -> float:
@@ -132,33 +139,26 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
         raise ConfigError(f"unknown gap weight rule: {gap_mode!r}")
 
     labels = [composite_label(c, p) for c, p in dn.pairs]
-    if delta == 1:
-        edges = dn.shared_edges()
-        kinds = dict.fromkeys([(ki, kj) for ki, kj, _ in edges], (MATCH, 1))
-        return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
     if delta == math.inf and gap_mode is GapWeightRule.CONCEPTUAL:
         component = {p: c for c, ps in enumerate(connected_components(dn.physical)) for p in ps}
         groups: dict[int, dict[int, int]] = {}  # conceptual node -> pair id
         for k, (ci, pi) in enumerate(zip(dn.pair_conceptual, dn.pair_physical)):
             groups.setdefault(component[pi], {})[ci] = k
-        return AlignmentGraph(dn.conceptual._induced(labels, groups.values()),
-                              dn, delta, gap_mode)
-    edges, kinds = _search(dn, delta, gap_mode)
-    return AlignmentGraph(Graph._from_edges(labels, edges), dn, delta, gap_mode, kinds)
+        graph = dn.conceptual._induced(labels, groups.values())
+    else:
+        edges = dn.shared_edges() if delta == 1 else _search(dn, delta, gap_mode)
+        graph = Graph._from_edges(labels, edges)
+    return AlignmentGraph(graph, dn, delta, gap_mode)
 
 
-def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[list, dict]:
-    """The searcher build, for delta >= 2: its edges ``(u, v, w)``, u < v,
-    and their kinds.  Each edge is a distinct conceptual edge weighing at
-    most its conceptual weight, so the edges need none of ``Graph``'s checks.
-    """
+def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> list:
+    """The searcher build, for delta >= 2: its edges ``(u, v, w)``, u < v.
+    Each edge is a distinct conceptual edge weighing at most its conceptual
+    weight, so the edges need none of ``Graph``'s checks."""
     physical, pair_physical = dn.physical, dn.pair_physical
     edges: list[tuple[int, int, float]] = []
-    kinds: dict[tuple[int, int], tuple[str, int]] = {}
-    # ``GapWeightRule``'s rule, picked once: a candidate's w > 0 and its
-    # d >= 2 need no check, and edges of one distance share one kind.
+    # ``GapWeightRule``'s rule, picked once: w > 0 and d >= 2 need no check.
     per_hop = gap_mode is GapWeightRule.PER_HOP
-    kind_at = {1: (MATCH, 1)}
     source = distance = None
     for ki, kj, w in dn.candidates():
         pi, pj = pair_physical[ki], pair_physical[kj]
@@ -167,7 +167,6 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
         d = distance(pj)
         if d is None:
             continue
-        kind = kind_at.get(d) or kind_at.setdefault(d, (GAP, d))
         if per_hop and d > 1:
             weight = w / d
             if not weight:
@@ -175,8 +174,5 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> tuple[lis
                     f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
                     f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
             w = weight
-        if ki > kj:
-            ki, kj = kj, ki
-        edges.append((ki, kj, w))
-        kinds[ki, kj] = kind
-    return edges, kinds
+        edges.append((ki, kj, w) if ki < kj else (kj, ki, w))
+    return edges

@@ -24,8 +24,11 @@ class Record:
     ``==`` compares two records of one class field by field, ``repr`` names
     every field, and records stay mutable and, as ``__eq__`` without
     ``__hash__`` makes them, unhashable.  The fields are the instance
-    attributes, in the order ``__init__`` sets them.  (Records are not
-    dataclasses: ``dataclasses`` would add its imports to every start.)"""
+    attributes, in the order ``__init__`` sets them.  ``Graph`` and
+    ``DualNetwork`` define no ``==``, so a field holding one compares by
+    identity: two ``extract_dcs`` runs on one input give unequal results.
+    (Records are not dataclasses: ``dataclasses`` would add its imports to
+    every start.)"""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -242,17 +242,18 @@ def test_connectivity_transfer(seed, n, delta):
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 14), parts=st.integers(1, 3))
 def test_alignment_graph_matches_rebuilt_graph(seed, n, parts):
     # The graph built without ``Graph``'s checks equals ``Graph`` built from
-    # the candidates its kinds keep, on dual networks with isolated and
-    # uncovered nodes and three distinct index spaces.  A match's distance
-    # is 1, so w / d is its weight under either rule.
+    # the candidates whose pairs lie at most delta physical hops apart, by
+    # plain BFS, on dual networks with isolated and uncovered nodes and three
+    # distinct index spaces.  A match's distance is 1, so w / d is its
+    # weight under either rule.
     rng = random.Random(seed)
     for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
+        hops = [(ki, kj, w, bfs_hops(dn.physical, dn.pair_physical[ki], dn.pair_physical[kj]))
+                for ki, kj, w in dn.candidates()]
         for delta, rule in product((1, 2, 3, 4, math.inf), GapWeightRule):
             ag = build_alignment_graph(dn, delta, rule)
-            edges = [(ki, kj, w if rule is GapWeightRule.CONCEPTUAL
-                      else w / kind_of(ag, ki, kj)[1])
-                     for ki, kj, w in dn.candidates()
-                     if ((ki, kj) if ki < kj else (kj, ki)) in ag.kinds]
+            edges = [(ki, kj, w if rule is GapWeightRule.CONCEPTUAL else w / d)
+                     for ki, kj, w, d in hops if d is not None and d <= delta]
             labels = [composite_label(c, p) for c, p in dn.pairs]
             assert_same_rows(ag.graph, Graph(labels, edges))
 
