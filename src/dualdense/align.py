@@ -5,21 +5,20 @@ nodes (one per correspondence pair).  For every conceptually adjacent pair
 of composite nodes: physical adjacency yields a Match edge carrying the
 conceptual weight; a physical hop distance d with 2 <= d <= delta yields a
 Gap(d) edge weighted by the selected gap rule; anything farther yields no
-edge.  Three builds serve the three cases.  At delta = 1 no gap edge can
-exist, so the alignment graph is the dual network's shared edge set
-(``DualNetwork.shared_edges``), found by set intersections with no search.
-delta = infinity turns the distance test into same-component reachability;
-under the conceptual rule, where a gap weighs w_c at any distance, the
-alignment graph is the covered conceptual graph in pair ids cut along
-physical components, each component's pairs inducing their own rows
-(``Graph._induced``) with no search, no candidate list and no sort.
-Otherwise ``DualNetwork.candidates`` yields each conceptual node's
-candidates together, and one capped bidirectional searcher per source
-physical node (``graph.distances_from``) answers them all.  The source's
-side of the search is shared by those candidates and grows first, to
-radius about delta/2 (3 at delta = infinity), unless a target's side is
-much smaller; each candidate then grows only its own side, so the work per
-candidate grows with the balls of radius about delta/2 around its
+edge.  Two builds serve the cases.  delta = infinity turns the distance
+test into same-component reachability; under the conceptual rule, where a
+gap weighs w_c at any distance, the alignment graph is the covered
+conceptual graph in pair ids cut along physical components, each
+component's pairs inducing their own rows (``Graph._induced``) with no
+search, no candidate list and no sort.  Everywhere else the searched build
+(``_search``) walks the covered conceptual nodes once, each deciding its
+covered larger neighbours together: at delta = 1, where no gap edge can
+exist, by one set intersection with no search; otherwise by one capped
+bidirectional searcher from its physical node (``graph.distances_from``).
+The source's side of the search is shared by those neighbours and grows
+first, to radius about delta/2 (3 at delta = infinity), unless a target's
+side is much smaller; each candidate then grows only its own side, so the
+work per candidate grows with the balls of radius about delta/2 around its
 endpoints rather than with one ball of radius delta, and memory stays that
 of the two graphs plus one source's layers and one target's search.
 Every build returns only its graph; ``AlignmentGraph.kinds`` finds each
@@ -30,8 +29,10 @@ and ``align`` at delta >= 2 searches the physical graph a second time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 from .dualnet import DualNetwork
 from .errors import ConfigError, WeightUnderflow
@@ -146,33 +147,56 @@ def build_alignment_graph(dn: DualNetwork, delta=4,
             groups.setdefault(component[pi], {})[ci] = k
         graph = dn.conceptual._induced(labels, groups.values())
     else:
-        edges = dn.shared_edges() if delta == 1 else _search(dn, delta, gap_mode)
-        graph = Graph._from_edges(labels, edges)
+        graph = Graph._from_edges(labels, _search(dn, delta, gap_mode))
     return AlignmentGraph(graph, dn, delta, gap_mode)
 
 
 def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> list:
-    """The searcher build, for delta >= 2: its edges ``(u, v, w)``, u < v.
-    Each edge is a distinct conceptual edge weighing at most its conceptual
-    weight, so the edges need none of ``Graph``'s checks."""
-    physical, pair_physical = dn.physical, dn.pair_physical
+    """The searched build: its edges ``(u, v, w)``, u < v.  A covered
+    conceptual node's covered larger neighbours are decided at delta = 1 by
+    one set intersection with its physical row, else by one searcher from
+    its physical node, started at the first of them.  The edges are distinct
+    conceptual edges weighing at most their conceptual weights, so they need
+    none of ``Graph``'s checks."""
+    conceptual, physical = dn.conceptual, dn.physical
+    # Indexed by conceptual node, None where uncovered: faster than a dict.
+    pair_of: list[int | None] = [None] * conceptual.n
+    physical_of: list[int | None] = [None] * conceptual.n
+    for k, (ci, pi) in enumerate(zip(dn.pair_conceptual, dn.pair_physical)):
+        pair_of[ci] = k
+        physical_of[ci] = pi
+    to_physical = physical_of.__getitem__
     edges: list[tuple[int, int, float]] = []
+    matches_only = delta == 1
     # ``GapWeightRule``'s rule, picked once: w > 0 and d >= 2 need no check.
     per_hop = gap_mode is GapWeightRule.PER_HOP
-    source = distance = None
-    for ki, kj, w in dn.candidates():
-        pi, pj = pair_physical[ki], pair_physical[kj]
-        if pi != source:
-            source, distance = pi, distances_from(physical, pi, delta)
-        d = distance(pj)
-        if d is None:
+    for ci, ki in enumerate(pair_of):
+        if ki is None:
             continue
-        if per_hop and d > 1:
-            weight = w / d
-            if not weight:
-                raise WeightUnderflow(
-                    f"gap weight underflows to 0: conceptual edge {dn.pairs[ki][0]!r} -- "
-                    f"{dn.pairs[kj][0]!r} weighs {w!r}, over {d} physical hops")
-            w = weight
-        edges.append((ki, kj, w) if ki < kj else (kj, ki, w))
+        row = conceptual.neighbors(ci)
+        start = bisect_right(row, ci)
+        if matches_only:
+            # None, for an uncovered neighbour, is in no physical row.
+            hits = set(physical.neighbors(physical_of[ci])).intersection(
+                map(to_physical, row[start:]))
+            if not hits:
+                continue
+        distance = dict.fromkeys(hits, 1).get if matches_only else None
+        for cj, w in islice(conceptual.incident(ci), start, None):
+            pj = physical_of[cj]
+            if pj is None:
+                continue
+            distance = distance or distances_from(physical, physical_of[ci], delta)
+            d = distance(pj)
+            if d is None:
+                continue
+            if per_hop and d > 1:
+                weight = w / d
+                if not weight:
+                    raise WeightUnderflow(
+                        f"gap weight underflows to 0: conceptual edge {conceptual.labels[ci]!r} "
+                        f"-- {conceptual.labels[cj]!r} weighs {w!r}, over {d} physical hops")
+                w = weight
+            kj = pair_of[cj]
+            edges.append((ki, kj, w) if ki < kj else (kj, ki, w))
     return edges

@@ -3,8 +3,7 @@ unit-weight physical graph bound by a one-to-one node correspondence."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import islice
 
 from .graph import Graph, check_ids, density
@@ -16,11 +15,11 @@ class DualNetwork:
     ``pairs`` is the correspondence: one ``(conceptual_label,
     physical_label)`` tuple per shared node, of the graphs' own label
     objects, so that the caller's copies can be freed.  Pair k becomes the
-    shared node identity: helper tables map pair ids to node indices in
-    either graph, and the methods below answer in pair ids, so no other
-    module needs the tables.  Nodes of either graph that appear in no pair
-    stay in their graphs but are excluded from alignment and from any
-    extracted subgraph.
+    shared node identity: ``pair_conceptual[k]`` and ``pair_physical[k]``
+    are its node indices in the two graphs, which ``align``, the oracle and
+    ``cli gen`` read; the methods below answer in pair ids.  Nodes of either
+    graph that appear in no pair stay in their graphs but are excluded from
+    alignment and from any extracted subgraph.
     """
 
     __slots__ = ("conceptual", "physical", "pairs", "pair_conceptual",
@@ -82,53 +81,6 @@ class DualNetwork:
     def conceptual_density(self, members: Iterable[int]) -> float:
         """Conceptual density of a set of pair ids."""
         return density(self.conceptual, self.conceptual_nodes(members))
-
-    def candidates(self) -> Iterator[tuple[int, int, float]]:
-        """``(pair id, pair id, conceptual weight)`` for each conceptual edge
-        whose two endpoints are covered, in the conceptual graph's edge
-        order, so that one node's edges to larger indices come together."""
-        # Indexed by conceptual node, None where uncovered: faster than the dict.
-        pair_of: list[int | None] = [None] * self.conceptual.n
-        for k, ci in enumerate(self.pair_conceptual):
-            pair_of[ci] = k
-        for ci, ki in enumerate(pair_of):
-            if ki is not None:
-                for cj, w in self.conceptual.incident(ci):
-                    if cj > ci and pair_of[cj] is not None:
-                        yield ki, pair_of[cj], w
-
-    def shared_edges(self) -> list[tuple[int, int, float]]:
-        """``(pair id, pair id, conceptual weight)``, lesser id first, for
-        each candidate whose two physical nodes are adjacent: the edges the
-        two graphs share, in ``candidates()`` order.
-
-        One set intersection per covered conceptual node, of its physical
-        node's row with the physical nodes of its larger conceptual
-        neighbours, decides all of that node's candidates; only a node with
-        a hit walks its candidates one by one."""
-        conceptual, physical = self.conceptual, self.physical
-        # Indexed by conceptual node, None where uncovered.
-        pair_of: list[int | None] = [None] * conceptual.n
-        physical_of: list[int | None] = [None] * conceptual.n
-        for k, (ci, pi) in enumerate(zip(self.pair_conceptual, self.pair_physical)):
-            pair_of[ci] = k
-            physical_of[ci] = pi
-        to_physical = physical_of.__getitem__
-        edges: list[tuple[int, int, float]] = []
-        for ci, ki in enumerate(pair_of):
-            if ki is None:
-                continue
-            row = conceptual.neighbors(ci)
-            start = bisect_right(row, ci)
-            # None, for an uncovered neighbour, is in no physical row.
-            hits = set(physical.neighbors(physical_of[ci])).intersection(
-                map(to_physical, row[start:]))
-            if hits:
-                for cj, w in islice(conceptual.incident(ci), start, None):
-                    if physical_of[cj] in hits:
-                        kj = pair_of[cj]
-                        edges.append((ki, kj, w) if ki < kj else (kj, ki, w))
-        return edges
 
     @property
     def pair_graph(self) -> Graph:

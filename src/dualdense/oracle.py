@@ -51,8 +51,8 @@ def brute_force_dcs(dn: DualNetwork, max_nodes: int | None = None,
 
     adj = dn.pair_graph.neighbors
 
-    # Conceptual weight between covered pairs, keyed (min, max).
-    cw = {(ki, kj) if ki < kj else (kj, ki): w for ki, kj, w in dn.candidates()}
+    # Conceptual weight between covered pairs, keyed (min, max); node k is pair k.
+    cw = {(u, v): w for u, v, w in dn.conceptual.subgraph(dn.pair_conceptual).edges()}
 
     explored = 0
     best: tuple[float, int, tuple[int, ...]] = (-1.0, 0, ())

@@ -123,6 +123,14 @@ def edge_weight(g: Graph, u: int, v: int) -> float | None:
     return dict(g.incident(u)).get(v)
 
 
+def candidates(dn: DualNetwork) -> list[tuple[int, int, float]]:
+    """``(pair id, pair id, conceptual weight)`` for each conceptual edge
+    whose two nodes are covered, in conceptual edge order, by plain lookups."""
+    pair_of = dn.pair_of_conceptual
+    return [(pair_of[ci], pair_of[cj], w) for ci, cj, w in dn.conceptual.edges()
+            if ci in pair_of and cj in pair_of]
+
+
 def kind_of(ag: AlignmentGraph, u: int, v: int) -> tuple[str, int]:
     """Match/gap kind of alignment edge (u, v), in either orientation."""
     return ag.kinds[(u, v) if u < v else (v, u)]

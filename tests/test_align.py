@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from dualdense import (AlignmentGraph, ConfigError, Connectivity, DcsOptions, DualDenseError,
                        DualNetwork, GapWeightRule, Graph, build_alignment_graph,
-                       WeightUnderflow, extract_dcs, generate_planted,
+                       WeightUnderflow, align, extract_dcs, generate_planted,
                        result_to_doc)
 from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.formats import load_correspondence, load_graph
 from dualdense.graph import distances_from
-from helpers import (assert_same_rows, bfs_hops, edge_weight, hub_dual, kind_of,
+from helpers import (assert_same_rows, bfs_hops, candidates, edge_weight, hub_dual, kind_of,
                      random_dual_network, random_partial_dual)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -224,7 +224,28 @@ def test_delta_one_equals_shared_edge_set(seed, n, generate, mode):
                 expected.add((i, j))
     assert {(u, v) for u, v, _ in ag.graph.edges()} == expected
     assert ag.kinds == dict.fromkeys(expected, (MATCH, 1))
-    assert list(ag.graph.edges()) == sorted(dn.shared_edges())
+    pc = dn.pair_conceptual
+    assert list(ag.graph.edges()) == sorted(
+        (u, v, edge_weight(dn.conceptual, pc[u], pc[v])) for u, v in expected)
+
+
+def test_delta_one_source_whose_larger_neighbours_are_uncovered():
+    # w1's only larger conceptual neighbours, w3 and w4, are uncovered,
+    # though v1 is physically adjacent to nodes of their index.
+    c = Graph(["w0", "w1", "w2", "w3", "w4"],
+              [(0, 1, 0.25), (1, 3, 0.5), (1, 4, 0.75)])
+    p = Graph(["v0", "v1", "v2", "v3", "v4"], [(0, 1, 1.0), (1, 3, 1.0), (1, 4, 1.0)])
+    dn = DualNetwork(c, p, (("w1", "v1"), ("w0", "v0"), ("w2", "v2")))
+    assert list(build_alignment_graph(dn, 1).graph.edges()) == [(0, 1, 0.25)]
+
+
+def test_delta_one_with_no_shared_edge():
+    # Both conceptual edges join covered nodes, and neither is physical.
+    c = Graph(["w0", "w1", "w2"], [(0, 1, 0.5), (1, 2, 0.5)])
+    p = Graph(["v0", "v1", "v2"], [(0, 2, 1.0)])
+    dn = DualNetwork(c, p, (("w0", "v0"), ("w1", "v1"), ("w2", "v2")))
+    assert len(candidates(dn)) == 2
+    assert build_alignment_graph(dn, 1).graph.edge_count == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -249,7 +270,7 @@ def test_alignment_graph_matches_rebuilt_graph(seed, n, parts):
     rng = random.Random(seed)
     for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
         hops = [(ki, kj, w, bfs_hops(dn.physical, dn.pair_physical[ki], dn.pair_physical[kj]))
-                for ki, kj, w in dn.candidates()]
+                for ki, kj, w in candidates(dn)]
         for delta, rule in product((1, 2, 3, 4, math.inf), GapWeightRule):
             ag = build_alignment_graph(dn, delta, rule)
             edges = [(ki, kj, w if rule is GapWeightRule.CONCEPTUAL else w / d)
@@ -277,6 +298,25 @@ def split_dual(rng, n, parts):
     dn = dual_from(conc, sorted(phys), n)
     corr = [pair for i, pair in enumerate(dn.pairs) if i == 0 or rng.random() < 0.85]
     return DualNetwork(dn.conceptual, dn.physical, tuple(corr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 16), parts=st.integers(1, 3))
+def test_one_searcher_per_node_with_a_larger_candidate(seed, n, parts):
+    # The searched build starts one searcher, from its physical node, per
+    # covered conceptual node with a covered larger conceptual neighbour,
+    # in conceptual index order; at delta = 1 it starts none.
+    rng = random.Random(seed)
+    for dn in (split_dual(rng, n, parts), random_partial_dual(rng, n)):
+        pair_of = dn.pair_of_conceptual
+        sources = [dn.pair_physical[pair_of[ci]] for ci in sorted(pair_of)
+                   if any(cj > ci and cj in pair_of for cj in dn.conceptual.neighbors(ci))]
+        for delta, rule in [*product((1, 2, 3, 4), GapWeightRule),
+                            (math.inf, GapWeightRule.PER_HOP)]:
+            with mock.patch.object(align, "distances_from", wraps=distances_from) as searchers:
+                build_alignment_graph(dn, delta, rule)
+            started = [call.args[1] for call in searchers.call_args_list]
+            assert started == (sources if delta > 1 else []), (delta, rule)
 
 
 def searched_alignment(dn, delta, gap_mode):
@@ -321,7 +361,7 @@ def test_label_build_matches_searcher_build(seed, n, parts):
 
 
 def _raise(*args):
-    raise AssertionError("the label build enumerated candidates or sorted edges")
+    raise AssertionError("the label build searched candidates or sorted edges")
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,10 +377,10 @@ def test_label_rows_when_index_spaces_disagree(seed, n, parts):
     pairs = [(c, p) for (c, _), p in zip(dn.pairs, physical)]
     rng.shuffle(pairs)
     dn = DualNetwork(dn.conceptual, dn.physical, pairs)
-    with mock.patch.object(DualNetwork, "candidates", _raise), \
+    with mock.patch.object(align, "_search", _raise), \
             mock.patch.object(Graph, "_from_edges", _raise):
         labelled = build_alignment_graph(dn, math.inf, GapWeightRule.CONCEPTUAL)
-    edges = [(ki, kj, w) for ki, kj, w in dn.candidates()
+    edges = [(ki, kj, w) for ki, kj, w in candidates(dn)
              if bfs_hops(dn.physical, dn.pair_physical[ki], dn.pair_physical[kj]) is not None]
     labels = [composite_label(c, p) for c, p in dn.pairs]
     assert_same_rows(labelled.graph, Graph(labels, edges))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import DualNetwork, Graph, density
+from dualdense import DualNetwork, GapWeightRule, Graph, build_alignment_graph, density
 from dualdense.formats import parse_correspondence, parse_edge_list
 from helpers import edge_weight, random_dual_network, random_partial_dual, subset_density
 
@@ -185,52 +185,20 @@ def test_fuzzed_violations_rejected(seed, kind):
         DualNetwork(dn.conceptual, dn.physical, pairs)
 
 
-class TestCandidates:
-    def test_candidates_skip_uncovered_and_keep_edge_order(self):
-        c = Graph(["w1", "w2", "w3", "w4"],
-                  [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3), (1, 2, 0.4), (2, 3, 0.5)])
-        p = Graph(["v1", "v2", "v3"], [(0, 1, 1.0)])
-        # w2 is uncovered, so its two edges are no candidates.
-        dn = DualNetwork(c, p, (("w4", "v1"), ("w3", "v2"), ("w1", "v3")))
-        assert list(dn.candidates()) == [(2, 1, 0.2), (2, 0, 0.3), (1, 0, 0.5)]
-
-
-class TestSharedEdges:
-    def test_source_whose_larger_neighbours_are_uncovered(self):
-        # w1's only larger conceptual neighbours, w3 and w4, are uncovered,
-        # though v1 is physically adjacent to nodes of their index.
-        c = Graph(["w0", "w1", "w2", "w3", "w4"],
-                  [(0, 1, 0.25), (1, 3, 0.5), (1, 4, 0.75)])
-        p = Graph(["v0", "v1", "v2", "v3", "v4"], [(0, 1, 1.0), (1, 3, 1.0), (1, 4, 1.0)])
-        dn = DualNetwork(c, p, (("w1", "v1"), ("w0", "v0"), ("w2", "v2")))
-        assert dn.shared_edges() == [(0, 1, 0.25)]
-
-    def test_no_shared_edge(self):
-        # Every conceptual edge is a candidate, and none is physical.
-        c = Graph(["w0", "w1", "w2"], [(0, 1, 0.5), (1, 2, 0.5)])
-        p = Graph(["v0", "v1", "v2"], [(0, 2, 1.0)])
-        dn = DualNetwork(c, p, (("w0", "v0"), ("w1", "v1"), ("w2", "v2")))
-        assert len(list(dn.candidates())) == 2
-        assert dn.shared_edges() == []
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 14),
        generate=st.sampled_from([random_dual_network, random_partial_dual]))
 def test_shared_edges_match_pairwise_check(seed, n, generate):
-    # random_partial_dual keeps pair ids, conceptual and physical indices
-    # apart and leaves nodes of both graphs uncovered.
+    # The alignment graph at delta = 1 is the edge set the two networks
+    # share.  random_partial_dual keeps pair ids, conceptual and physical
+    # indices apart and leaves nodes of both graphs uncovered.
     dn = generate(random.Random(seed), n)
     pc, pp = dn.pair_conceptual, dn.pair_physical
     expected = [(k, j, edge_weight(dn.conceptual, pc[k], pc[j]))
                 for k in range(dn.pair_count) for j in range(k + 1, dn.pair_count)
                 if dn.conceptual.has_edge(pc[k], pc[j]) and dn.physical.has_edge(pp[k], pp[j])]
-    found = dn.shared_edges()
-    assert all(k < j for k, j, _ in found)
-    assert sorted(found) == expected
-    assert [(k, j) for k, j, _ in found] == \
-        [(k, j) if k < j else (j, k) for k, j, _ in dn.candidates()
-         if dn.physical.has_edge(pp[k], pp[j])]
+    for mode in GapWeightRule:
+        assert list(build_alignment_graph(dn, 1, mode).graph.edges()) == expected
 
 
 def partial_dual_network(rng, n):
@@ -239,20 +207,6 @@ def partial_dual_network(rng, n):
     dn = random_dual_network(rng, n)
     pairs = rng.sample(dn.pairs, rng.randint(1, n))
     return DualNetwork(dn.conceptual, dn.physical, pairs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
-def test_candidates_are_the_covered_conceptual_edges(seed, n):
-    dn = partial_dual_network(random.Random(seed), n)
-    c, pc = dn.conceptual, dn.pair_conceptual
-    found = list(dn.candidates())
-    expected = {(k, j, edge_weight(c, pc[k], pc[j])) for k in range(dn.pair_count)
-                for j in range(dn.pair_count) if pc[k] < pc[j] and c.has_edge(pc[k], pc[j])}
-    assert set(found) == expected and len(found) == len(expected)
-    # Conceptual edge order: by the lower endpoint, then the upper.
-    ends = [(pc[k], pc[j]) for k, j, _ in found]
-    assert ends == sorted(ends)
 
 
 @settings(max_examples=40, deadline=None)

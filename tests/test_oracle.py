@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dualdense import (ConfigError, Connectivity, DcsOptions,
                        DualNetwork, Graph, brute_force_dcs, extract_dcs,
                        verify_physical_connectivity)
-from helpers import brute_dcs, physically_connected, random_dual_network
+from helpers import brute_dcs, physically_connected, random_dual_network, random_partial_dual
 
 
 def identity_dual(conc_edges, phys_edges, labels):
@@ -142,9 +142,12 @@ def test_explored_counts_connected_subsets(seed, n, max_nodes):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
-       max_nodes=st.sampled_from([None, 2, 3]))
-def test_matches_powerset_enumeration(seed, n, max_nodes):
-    dn = random_dual_network(random.Random(seed), n)
+       max_nodes=st.sampled_from([None, 2, 3]),
+       generate=st.sampled_from([random_dual_network, random_partial_dual]))
+def test_matches_powerset_enumeration(seed, n, max_nodes, generate):
+    # random_partial_dual keeps pair ids and conceptual indices apart, so a
+    # weight read from the wrong index space fails.
+    dn = generate(random.Random(seed), n)
     expect_density, expect_nodes = brute_dcs(dn, max_size=max_nodes)
     result = brute_force_dcs(dn, max_nodes=max_nodes)
     assert result.density == pytest.approx(expect_density, rel=1e-9, abs=1e-12)
