@@ -268,20 +268,25 @@ def reach(g: Graph, sources: Iterable[int], cap: float = math.inf,
 
 
 def nearest(g: Graph, sources: Iterable[int],
-            targets: Collection[int]) -> list[int] | None:
-    """Shortest path from a source to the first target reached, or None
-    when no target is reachable.
+            targets: Collection[int]) -> tuple[list[int], dict[int, int]] | None:
+    """Shortest path from a source to the first target reached, with the
+    search's record, or None when no target is reachable.
 
     Breadth-first search over sorted adjacency, recording each node's
-    parent: its earliest-discovered neighbor one layer up.  With sources
-    in ascending order, discovery order within a layer is the
-    lexicographic order of the nodes' least shortest paths, so the path
-    returned is the lexicographically least shortest source-target path.
+    parent: its earliest-discovered neighbor one layer up (-1 for a
+    source).  With sources in ascending order, discovery order within a
+    layer is the lexicographic order of the nodes' least shortest paths, so
+    the path returned is the lexicographically least shortest source-target
+    path.  The record is the parent map in discovery order, ending at the
+    target.  Discovery order does not depend on the targets, so a search
+    for more targets Y would stop at the record's first node in Y, with
+    ``path_to`` that node as its path and the record cut after it.
     """
-    parent = dict.fromkeys(sources, -1)
-    for s in parent:
+    parent: dict[int, int] = {}
+    for s in sources:
+        parent[s] = -1
         if s in targets:
-            return [s]
+            return [s], parent
     nbrs = g._nbrs
     frontier = list(parent)
     while frontier:
@@ -292,14 +297,18 @@ def nearest(g: Graph, sources: Iterable[int],
                     continue
                 parent[y] = x
                 if y in targets:
-                    path = [y]
-                    while x != -1:
-                        path.append(x)
-                        x = parent[x]
-                    return path[::-1]
+                    return path_to(parent, y), parent
                 layer.append(y)
         frontier = layer
     return None
+
+
+def path_to(parent: dict[int, int], v: int) -> list[int]:
+    """The path from a source to ``v`` in a search record of ``nearest``."""
+    path = [v]
+    while (v := parent[v]) != -1:
+        path.append(v)
+    return path[::-1]
 
 
 # The "quarter" of ``distances_from``'s growth rule.  Swept on the gap-d4

@@ -14,7 +14,7 @@ from .align import (AlignmentGraph, GapWeightRule, build_alignment_graph, check_
                     delta_doc)
 from .dualnet import DualNetwork
 from .errors import ConfigError, IrreparableDisconnection, NoFeasibleSubgraph
-from .graph import Record, connected_components, density, nearest, reach
+from .graph import Record, connected_components, density, nearest, path_to, reach
 from .peel import PeelTrace, peel
 
 
@@ -112,32 +112,53 @@ def repair_connectivity(dn: DualNetwork, members: Iterable[int]) -> frozenset[in
     then the least node sequence.  The partition is found once and kept
     across rounds: the path's interior merges into one component with
     every component holding a neighbour of the interior, both ends'
-    included, and the others stay as they were.  Returns only the added
-    pairs; raises IrreparableDisconnection when some components cannot be
-    joined through covered nodes.
+    included, and the others stay as they were.
+
+    Each component is searched once, when it forms, by one ``nearest``
+    for its join: its least shortest path to another member.  A round
+    that leaves a component alone only adds the round's interior to its
+    targets, so the search's record holds its new join: the path to the
+    record's first interior node, if any, else the old join.  Returns only
+    the added pairs; raises IrreparableDisconnection as soon as a
+    component's search finds no other member, as it can never gain one.
     """
     S = dn._check(members)
     g = dn.pair_graph
     current = set(S)
     comps = connected_components(g, current)
     comp_of = {k: comp for comp in comps for k in comp}
-    while len(comps) > 1:
-        # A component's nearest other member ends its least shortest path.
-        joins = [path for comp in comps
-                 if (path := nearest(g, comp, current.difference(comp))) is not None]
-        if not joins:
+
+    def search(comp: list[int]) -> tuple[list[int], list[int], dict[int, int]]:
+        found = nearest(g, comp, current.difference(comp))
+        if found is None:
             raise IrreparableDisconnection(
                 "selected components cannot be joined through "
                 "correspondence-covered physical nodes")
-        interior = min(joins, key=lambda path: (len(path), path))[1:-1]
-        current.update(interior)
-        # Components are lists, so they are told apart by identity.
+        return comp, *found
+
+    # Components are lists, so they are told apart by identity.
+    joins = {id(comp): search(comp) for comp in comps} if len(comps) > 1 else {}
+    while len(joins) > 1:
+        interior = set(min((path for _, path, _ in joins.values()),
+                           key=lambda path: (len(path), path))[1:-1])
+        current |= interior
         touched = {id(comp): comp for v in interior for u in g.neighbors(v)
                    if (comp := comp_of.get(u)) is not None}
+        for key in touched:
+            del joins[key]
+        for key, (comp, _, record) in joins.items():
+            # The search would now stop at the record's first interior node.
+            if not record.keys().isdisjoint(interior):
+                kept: dict[int, int] = {}
+                for v, p in record.items():
+                    kept[v] = p
+                    if v in interior:
+                        break
+                joins[key] = comp, path_to(kept, v), kept
         merged = sorted(chain(interior, *touched.values()))
-        comps = [comp for comp in comps if id(comp) not in touched]
-        comps.append(merged)
         comp_of.update(dict.fromkeys(merged, merged))
+        if joins:
+            joins[id(merged)] = search(merged)
     return frozenset(current - S)
 
 

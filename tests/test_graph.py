@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dualdense import Graph, connected_components, density, peel
 from dualdense.formats import export_json, parse_edge_list
-from dualdense.graph import distances_from, nearest, reach
+from dualdense.graph import distances_from, nearest, path_to, reach
 from helpers import (ReadLog, assert_collapsed, assert_same_rows, bfs_hops, edge_weight,
                      graphs_equal, hub_graph, least_shortest_path, random_graph, shared_ints,
                      subset_density)
@@ -135,8 +135,8 @@ class TestDensity:
 def shortest_path_hops(g, u, v, cap=math.inf):
     """Hop distance and one shortest u-v path from ``nearest``, or None when
     v is unreachable or more than ``cap`` hops away."""
-    path = nearest(g, (u,), {v})
-    return (len(path) - 1, path) if path is not None and len(path) - 1 <= cap else None
+    found = nearest(g, (u,), {v})
+    return (len(found[0]) - 1, found[0]) if found and len(found[0]) - 1 <= cap else None
 
 
 class TestShortestPathHops:
@@ -313,11 +313,39 @@ def test_nearest_is_least_shortest_path(g, seed):
     targets = set(rng.sample(range(g.n), rng.randint(0, min(4, g.n))))
     if rng.random() < 0.7:
         targets -= set(sources)
-    path = nearest(g, sources, targets)
+    found = nearest(g, sources, targets)
+    path = found[0] if found else None
     assert path == least_shortest_path(g, sources, targets)
     if path is not None:
         assert path[0] in sources and path[-1] in targets
         assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=graphs_strategy, seed=st.integers(0, 10_000))
+def test_nearest_record_answers_added_targets(g, seed):
+    # The record R of a search answers the same sources with more targets
+    # Y: the path to R's first node in Y, or to R's end when R holds none,
+    # with R cut after that node as the record.  Repair keeps a component's
+    # join this way across rounds without searching again.
+    rng = random.Random(seed)
+    sources = sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
+    targets = set(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+    if rng.random() < 0.8:
+        targets -= set(sources)
+    found = nearest(g, sources, targets)
+    if found is None:
+        return
+    path, record = found
+    order = list(record)
+    assert order[-1] == path[-1] and path == path_to(record, path[-1])
+    # Repair's added targets are never its sources; a few runs include them.
+    pool = range(g.n) if rng.random() < 0.2 else sorted(set(range(g.n)) - set(sources))
+    extra = set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+    end = next((i for i, v in enumerate(order) if v in extra), len(order) - 1)
+    again, kept = nearest(g, sources, targets | extra)
+    assert again == path_to(record, order[end])
+    assert list(kept.items()) == list(record.items())[:end + 1]
 
 
 def forest_graph(rng):

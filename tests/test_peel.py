@@ -1,6 +1,8 @@
+import heapq
 import math
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,60 @@ def test_zero_volume_prefix_matches_reference(seed, n, shape, weighted):
     expected, reference = reference_peel(g)
     assert trace.removal_order == reference.removal_order
     # The reference keeps the remaining weight by subtraction, which drifts.
+    assert trace.density_at_prefix == pytest.approx(reference.density_at_prefix,
+                                                    rel=1e-9, abs=1e-12)
+    assert trace.best_prefix_index == reference.best_prefix_index
+    assert trace.tied_prefix_indices == reference.tied_prefix_indices
+    assert result.nodes == expected.nodes
+
+
+def planted_core_graph(rng: random.Random, n: int) -> Graph:
+    """A heavy clique over a sparse light background of n nodes, shuffled.
+    The clique leaves last, so its superseded heap entries surface late
+    and in bulk.  Pendant paths, some hanging off the background and some
+    on their own, fall to volume exactly 0.0 while a node is alive, and
+    edges of weight 2**-60 change no volume they are taken from, which
+    pushes entries equal to ones already on the heap."""
+    core = 6
+    pendants = [rng.randint(2, 4) for _ in range(rng.randint(2, 5))]
+    total = core + n + sum(pendants)
+    ids = list(range(total))
+    rng.shuffle(ids)
+    edges = {}
+
+    def add(u: int, v: int, w: float) -> None:
+        edges[min(ids[u], ids[v]), max(ids[u], ids[v])] = w
+
+    for u, v in combinations(range(core), 2):
+        add(u, v, 8.0)
+    background = range(core, core + n)
+    for u, v in combinations(background, 2):
+        if rng.random() < 3 / n:
+            add(u, v, rng.choice([0.25, 0.5, 1.0]))
+    for v in background:
+        add(v, rng.randrange(core), rng.choice([0.5, 1.0]))
+        if rng.random() < 0.3:
+            add(v, rng.choice([u for u in background if u != v]), 2.0 ** -60)
+    start = core + n
+    for length in pendants:
+        path = range(start, start + length)
+        for u, v in zip(path, path[1:]):
+            add(u, v, 1.0)
+        if rng.random() < 0.5:
+            add(start, rng.choice(background), 1.0)
+        start += length
+    return Graph([f"u{i}" for i in range(total)], [(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(10, 60))
+def test_heap_rebuilds_keep_the_reference_order(seed, n):
+    g = planted_core_graph(random.Random(seed), n)
+    with mock.patch.object(heapq, "heapify", wraps=heapq.heapify) as heapified:
+        result, trace = peel(g)
+    assert heapified.call_count > 1
+    expected, reference = reference_peel(g)
+    assert trace.removal_order == reference.removal_order
     assert trace.density_at_prefix == pytest.approx(reference.density_at_prefix,
                                                     rel=1e-9, abs=1e-12)
     assert trace.best_prefix_index == reference.best_prefix_index

@@ -279,6 +279,32 @@ class TestRepairConnectivity:
             assert repair_connectivity(dn, {0, 1, 2}) == frozenset({3})
         assert searched.call_count == 3
 
+    def test_kept_join_cut_at_the_round_interior(self):
+        # Members a (0), p (3) and r (5).  The first round joins p and r
+        # through q (4), which a's search record reached before its end r:
+        # a-c-g-r.  a's join becomes a-b-f-q, the path to q in that record,
+        # and it wins the second round, where a-c-g-r would have added c
+        # and g.  Searches: one per component, then one for the merged p-q-r.
+        labels = list("abcpqrfg")
+        phys = [(0, 1), (0, 2), (1, 6), (6, 4), (3, 4), (4, 5), (2, 7), (7, 5)]
+        dn = identity_dual([(0, 3, 1.0)], phys, labels)
+        with mock.patch("dualdense.pipeline.nearest", wraps=nearest) as searched:
+            connectors = repair_connectivity(dn, {0, 3, 5})
+        assert connectors == reference_repair(dn, {0, 3, 5}) == frozenset({1, 4, 6})
+        assert searched.call_count == 4
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 40])
+    def test_comb_searches_each_component_once(self, k):
+        # k single-node components two hops apart on a path: the rounds join
+        # them left to right, and each component is searched once, when it
+        # forms, the last one not at all.
+        labels = [f"n{i}" for i in range(2 * k - 1)]
+        dn = identity_dual([(0, 2, 1.0)], [(i, i + 1) for i in range(2 * k - 2)], labels)
+        with mock.patch("dualdense.pipeline.nearest", wraps=nearest) as searched:
+            connectors = repair_connectivity(dn, range(0, 2 * k - 1, 2))
+        assert connectors == frozenset(range(1, 2 * k - 1, 2))
+        assert searched.call_count == 2 * k - 2
+
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(4, 40))
@@ -294,6 +320,36 @@ def test_repair_matches_reference(seed, n):
     dn = DualNetwork(conceptual, physical,
                      [(conceptual.labels[i], physical.labels[i]) for i in covered])
     members = [k for k in range(dn.pair_count) if rng.random() < 0.4]
+    try:
+        expected = reference_repair(dn, members)
+    except IrreparableDisconnection:
+        with pytest.raises(IrreparableDisconnection):
+            repair_connectivity(dn, members)
+    else:
+        assert repair_connectivity(dn, members) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(40, 100))
+def test_multi_round_repair_matches_reference(seed, n):
+    # A random tree plus n/4 chords, about 93% covered, with about 30%
+    # members: many components joined over many rounds, so joins kept from
+    # earlier rounds get cut.  About half the instances cannot be repaired,
+    # and nearly all the others cut a kept join.
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    physical = Graph([f"p{i}" for i in range(n)], [(ids[u], ids[v], 1.0) for u, v in edges])
+    conceptual = random_graph(rng, n, 0.1)
+    covered = [i for i in range(n) if rng.random() < 0.93]
+    rng.shuffle(covered)
+    dn = DualNetwork(conceptual, physical,
+                     [(conceptual.labels[i], physical.labels[i]) for i in covered])
+    members = [k for k in range(dn.pair_count) if rng.random() < 0.3]
     try:
         expected = reference_repair(dn, members)
     except IrreparableDisconnection:

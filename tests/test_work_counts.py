@@ -1,14 +1,15 @@
 """Work counts of the pipeline on seed 311 of each benchmark workload.
 
 Times drift with the host; these counts do not.  They are the same on
-Python 3.10 to 3.13 and under any ``PYTHONHASHSEED``.  Two count work done,
-and are ceilings, so that an algorithmic regression fails here even where
-timing noise hides it: the physical adjacency rows that
-``build_alignment_graph`` reads, and the ``nearest`` calls that
-``extract_dcs`` makes to repair.  The sizes (candidates, alignment edges,
-core pairs and connectors) and the ``distances_from`` searchers that
-``extract_dcs`` starts are exact.  A change that moves a value states the
-new value and the reason in ``CHANGES.md``.
+Python 3.10 to 3.13 and under any ``PYTHONHASHSEED``.  Three count work
+done, and are ceilings, so that an algorithmic regression fails here even
+where timing noise hides it: the physical adjacency rows that
+``build_alignment_graph`` reads, the heap pops of ``peel``, stale entries
+included, and the ``nearest`` calls that ``extract_dcs`` makes to repair.
+The sizes (candidates, alignment edges, core pairs and connectors) and the
+``distances_from`` searchers that ``extract_dcs`` starts are exact.  A
+change that moves a value states the new value and the reason in
+``CHANGES.md``.
 
 ``extract_dcs`` never reads ``AlignmentGraph.kinds``, so its searchers are
 the searcher build's own, and none at delta = 1 or under the label build.
@@ -21,6 +22,7 @@ imports; nothing under ``perfbench/`` is written to.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from pathlib import Path
 from unittest import mock
@@ -43,13 +45,13 @@ SEED = 311
 EXPECTED = {
     "scale-d1": ({"candidates": 50_000, "alignment_edges": 75, "core_pairs": 8,
                   "connectors": 0, "searchers": 0},
-                 {"build_rows_read": 10_000, "nearest_calls": 0}),
+                 {"build_rows_read": 10_000, "peel_pops": 149, "nearest_calls": 0}),
     "gap-d4": ({"candidates": 10_000, "alignment_edges": 9_999, "core_pairs": 40,
                 "connectors": 36, "searchers": 1_787},
-               {"build_rows_read": 41_227, "nearest_calls": 729}),
+               {"build_rows_read": 41_227, "peel_pops": 3_030, "nearest_calls": 75}),
     "reach-inf": ({"candidates": 10_000, "alignment_edges": 10_000, "core_pairs": 8,
                    "connectors": 0, "searchers": 0},
-                  {"build_rows_read": 2_000, "nearest_calls": 0}),
+                  {"build_rows_read": 2_000, "peel_pops": 3_109, "nearest_calls": 0}),
 }
 
 
@@ -66,6 +68,7 @@ def test_work_counts(name, tmp_path):
     ag = build_alignment_graph(dn, opts.delta, opts.gap_mode)
     rows_read = sum(log.counts.values())
     with mock.patch.object(pipeline, "nearest", wraps=pipeline.nearest) as nearest, \
+            mock.patch.object(heapq, "heappop", wraps=heapq.heappop) as pops, \
             mock.patch.object(align, "distances_from", wraps=align.distances_from) as searchers:
         result = extract_dcs(dn, opts)
     with mock.patch.object(align, "distances_from", wraps=align.distances_from) as kind_searchers:
@@ -81,5 +84,6 @@ def test_work_counts(name, tmp_path):
             "alignment_edges": ag.graph.edge_count,
             "core_pairs": len(result.nodes),
             "connectors": len(result.connector_nodes), "searchers": searchers.call_count} == sizes
-    work = {"build_rows_read": rows_read, "nearest_calls": nearest.call_count}
+    work = {"build_rows_read": rows_read, "peel_pops": pops.call_count,
+            "nearest_calls": nearest.call_count}
     assert {key: value for key, value in work.items() if value > ceilings[key]} == {}, work
