@@ -3,10 +3,12 @@
 Subcommands: ``dcs`` (full pipeline), ``align`` (alignment graph export),
 ``peel`` (densest subgraph of one weighted graph), ``oracle`` (exact
 brute-force result), ``gen`` (planted instance files), ``stats`` (graph
-metrics).  Each command returns the text it outputs, which ``main`` writes
-to ``--output`` or stdout; ``gen`` writes its own files.  Exit codes: 0
-success, 1 infeasible result, 2 input/parse error (a per-hop gap weight
-that underflows included), 3 configuration error.
+metrics).  A JSON command returns its document, and ``main`` encodes it
+once the command has returned, so that no graph the command built is still
+held while the text is built; the other commands return their text.
+``main`` writes the output to ``--output`` or stdout; ``gen`` writes its own
+files.  Exit codes: 0 success, 1 infeasible result, 2 input/parse error (a
+per-hop gap weight that underflows included), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ def _options(args) -> DcsOptions:
     )
 
 
-def cmd_dcs(args) -> str:
+def cmd_dcs(args) -> dict | str:
     dn = _load_dual(args)
     opts = _options(args)
     result = extract_dcs(dn, opts)
     if args.format == "json":
-        return formats.canonical_json(result_to_doc(result, dn, opts))
+        return result_to_doc(result, dn, opts)
     c_hl = {dn.pairs[k][0] for k in result.all_nodes}
     p_hl = {dn.pairs[k][1] for k in result.all_nodes}
     return (formats.export_dot(dn.conceptual, name="conceptual", highlight=c_hl)
@@ -70,26 +72,25 @@ def cmd_align(args) -> str:
         raise ParseError(str(exc)) from None
 
 
-def cmd_peel(args) -> str:
+def cmd_peel(args) -> dict:
     g = formats.load_graph(args.graph, weighted=not args.unweighted)
     if g.n == 0:
         raise ParseError(f"{args.graph}: graph is empty")
     result, trace = peel(g)
-    doc = {
+    return {
         "nodes": sorted(g.labels[v] for v in result.nodes),
         "node_count": len(result.nodes),
         "density": result.density,
         "exact": False,
         **trace.to_doc(g.labels),
     }
-    return formats.canonical_json(doc)
 
 
-def cmd_oracle(args) -> str:
+def cmd_oracle(args) -> dict:
     from .oracle import brute_force_dcs
     dn = _load_dual(args)
     result = brute_force_dcs(dn, max_nodes=args.max_oracle_nodes)
-    doc = {
+    return {
         "nodes": sorted([list(dn.pairs[k]) for k in result.nodes]),
         "node_count": len(result.nodes),
         "conceptual_density": result.density,
@@ -97,7 +98,6 @@ def cmd_oracle(args) -> str:
         "physically_connected": True,
         "exact": True,
     }
-    return formats.canonical_json(doc)
 
 
 def cmd_gen(args) -> None:
@@ -127,10 +127,10 @@ def cmd_gen(args) -> None:
     print(f"wrote planted instance to {args.out_dir}", file=sys.stderr)
 
 
-def cmd_stats(args) -> str:
+def cmd_stats(args) -> dict:
     g = formats.load_graph(args.graph, weighted=not args.unweighted)
     n, m = g.n, g.edge_count
-    doc = {
+    return {
         "nodes": n,
         "edges": m,
         "total_weight": g.total_weight,
@@ -140,7 +140,6 @@ def cmd_stats(args) -> str:
         "components": len(connected_components(g)),
         "duplicates_collapsed": g.duplicates_collapsed,
     }
-    return formats.canonical_json(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,9 +216,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-        if text is not None:
-            formats.write_text(text, args.output)
+        out = args.func(args)
+        if out is not None:
+            formats.write_text(out if isinstance(out, str) else formats.canonical_json(out),
+                               args.output)
         return EXIT_OK
     except (ParseError, WeightUnderflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,13 @@ class DualNetwork:
     are its node indices in the two graphs, which ``align``, the oracle and
     ``cli gen`` read; the methods below answer in pair ids.  Nodes of either
     graph that appear in no pair stay in their graphs but are excluded from
-    alignment and from any extracted subgraph.
+    alignment and from any extracted subgraph.  ``pair_of_conceptual``,
+    which no pipeline stage reads, and ``pair_graph``, which only repair
+    and the oracle read, are built on first read.
     """
 
     __slots__ = ("conceptual", "physical", "pairs", "pair_conceptual",
-                 "pair_physical", "pair_of_conceptual", "_pair_graph")
+                 "pair_physical", "_pair_of_conceptual", "_pair_graph")
 
     def __init__(self, conceptual: Graph, physical: Graph,
                  pairs: Iterable[tuple[str, str]]):
@@ -65,7 +67,7 @@ class DualNetwork:
                                map(physical.labels.__getitem__, pair_physical)))
         self.pair_conceptual = pair_conceptual
         self.pair_physical = pair_physical
-        self.pair_of_conceptual = {i: k for k, i in enumerate(pair_conceptual)}
+        self._pair_of_conceptual: dict[int, int] | None = None
         self._pair_graph: Graph | None = None
 
     @property
@@ -81,6 +83,14 @@ class DualNetwork:
     def conceptual_density(self, members: Iterable[int]) -> float:
         """Conceptual density of a set of pair ids."""
         return density(self.conceptual, self.conceptual_nodes(members))
+
+    @property
+    def pair_of_conceptual(self) -> dict[int, int]:
+        """Conceptual node index -> pair id, for covered nodes.  Built on
+        first read and cached."""
+        if self._pair_of_conceptual is None:
+            self._pair_of_conceptual = {i: k for k, i in enumerate(self.pair_conceptual)}
+        return self._pair_of_conceptual
 
     @property
     def pair_graph(self) -> Graph:

@@ -54,9 +54,13 @@ class Graph:
     neighbor index.  Rows are only read once built: a node with no edge may
     share one immutable empty row with the other edgeless nodes, and the
     unit-weight rows of nodes of one degree may be one shared tuple.
+
+    ``_index`` maps each label to its id.  A graph built from labels keeps
+    the map its checking loop interned them with; a graph derived from
+    another (``subgraph``, the alignment graph) builds it on first read.
     """
 
-    __slots__ = ("labels", "_index", "_nbrs", "_wts", "edge_count",
+    __slots__ = ("labels", "_label_index", "_nbrs", "_wts", "edge_count",
                  "total_weight", "duplicates_collapsed")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[IndexEdge]):
@@ -118,11 +122,11 @@ class Graph:
         if not math.isfinite(2.0 * self.total_weight):
             raise ValueError("edge weights too large: twice their total overflows a float")
 
-    def _set_rows(self, labels: tuple[str, ...], index: dict[str, int],
+    def _set_rows(self, labels: tuple[str, ...], index: dict[str, int] | None,
                   nbrs: list[Sequence[int]], wts: list[Sequence[float]]) -> None:
-        """Keep finished rows over ``labels`` and their ``index``, and count
-        their edges and total weight."""
-        self.labels, self._index, self._nbrs, self._wts = labels, index, nbrs, wts
+        """Keep finished rows over ``labels`` and their ``index``, None to
+        build it on first read, and count their edges and total weight."""
+        self.labels, self._label_index, self._nbrs, self._wts = labels, index, nbrs, wts
         self.edge_count = sum(map(len, nbrs)) // 2
         # Each weight is in two rows; halving their exact sum is exact.
         try:
@@ -137,8 +141,7 @@ class Graph:
         from data already keeping every rule ``__init__`` checks, so none is
         checked again."""
         g = cls.__new__(cls)
-        labels = tuple(labels)
-        g._set_rows(labels, dict(zip(labels, range(len(labels)))), nbrs, wts)
+        g._set_rows(tuple(labels), None, nbrs, wts)
         g.duplicates_collapsed = 0
         return g
 
@@ -168,6 +171,12 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def _index(self) -> dict[str, int]:
+        if self._label_index is None:
+            self._label_index = dict(zip(self.labels, range(self.n)))
+        return self._label_index
 
     def neighbors(self, u: int) -> Sequence[int]:
         return self._nbrs[u]

@@ -1,11 +1,13 @@
 import io
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import DualNetwork, GapWeightRule, Graph, build_alignment_graph, density
+from dualdense import (DcsOptions, DualNetwork, GapWeightRule, Graph, IrreparableDisconnection,
+                       build_alignment_graph, density, extract_dcs)
 from dualdense.formats import parse_correspondence, parse_edge_list
 from helpers import edge_weight, random_dual_network, random_partial_dual, subset_density
 
@@ -105,6 +107,44 @@ class TestDualNetwork:
         assert dn.pairs[0] == ("w2", "v1")
         assert dn.pair_of_conceptual[c.labels.index("w1")] == 1
         assert dn.pair_graph.labels == ("v1", "v3")
+
+    def test_over_subgraphs_resolves_labels(self):
+        # A subgraph builds its label index only when first read; a dual
+        # network over two subgraphs reads both, and reports as before.
+        c, p = small_pair()
+        cs, ps = c.subgraph([2, 0, 1]), p.subgraph([1, 0, 2])
+        assert cs._label_index is None and ps._label_index is None
+        dn = DualNetwork(cs, ps, (("w1", "v1"), ("w3", "v2")))
+        assert dn.pair_conceptual == [1, 0] and dn.pair_physical == [1, 0]
+        assert dn.pairs == (("w1", "v1"), ("w3", "v2"))
+        with pytest.raises(ValueError) as info:
+            DualNetwork(cs, ps, (("w1", "v1"), ("w1", "v2")))
+        assert str(info.value) == "invalid dual network: 1 duplicate correspondence entries"
+        with pytest.raises(ValueError) as info:
+            DualNetwork(cs, ps, (("w1", "v1"), ("w2", "nope")))
+        assert str(info.value) == "invalid dual network: 1 dangling labels ('nope')"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
+def test_unread_lookups_are_built_on_first_read(seed, n):
+    # No stage of a run reads ``pair_of_conceptual`` or the label index of
+    # the alignment graph or ``pair_graph``, so a run builds none of them.
+    rng = random.Random(seed)
+    dn = random_partial_dual(rng, n)
+    opts = DcsOptions(delta=rng.choice([1, 2, math.inf]),
+                      gap_mode=rng.choice(list(GapWeightRule)))
+    try:
+        alignment = extract_dcs(dn, opts).alignment.graph
+    except IrreparableDisconnection:
+        alignment = build_alignment_graph(dn, opts.delta, opts.gap_mode).graph
+    assert dn._pair_of_conceptual is None
+    for g in (alignment, dn.pair_graph):
+        assert g._label_index is None
+        assert g._index == {label: i for i, label in enumerate(g.labels)}
+        assert g._index is g._label_index
+    assert dn.pair_of_conceptual == {i: k for k, i in enumerate(dn.pair_conceptual)}
+    assert dn.pair_of_conceptual is dn._pair_of_conceptual
 
 
 def induced(dn, members):

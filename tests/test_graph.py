@@ -173,6 +173,18 @@ def test_subgraph_keeps_member_order_and_drops_repeats():
     assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
 
 
+def test_derived_graphs_build_their_label_index_on_first_read():
+    # Graphs built from labels keep the index they interned them with.
+    g = Graph(list("abcd"), [(0, 1, 0.5), (1, 3, 2.0), (2, 3, 1.0)])
+    parsed = parse_edge_list(io.StringIO("a b 0.5\nb d 2.0\n"), weighted=True)
+    assert g._label_index == {"a": 0, "b": 1, "c": 2, "d": 3}
+    assert parsed._label_index == {"a": 0, "b": 1, "d": 2}
+    for h in (g.subgraph([3, 1, 0]), Graph._from_edges(("x", "y"), [(0, 1, 1.0)])):
+        assert h._label_index is None
+        assert h._index == {label: i for i, label in enumerate(h.labels)}
+        assert h._index is h._label_index
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_edgeless_rows_read_like_rebuilt_graph(seed):
