@@ -118,7 +118,9 @@ def delta_doc(delta: float) -> int | str:
 
 
 def _escape(part: str) -> str:
-    return part.replace("\\", "\\\\").replace("|", "\\|")
+    if "\\" in part or "|" in part:
+        return part.replace("\\", "\\\\").replace("|", "\\|")
+    return part
 
 
 def composite_label(conceptual: str, physical: str) -> str:
@@ -159,6 +161,7 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> list:
     conceptual edges weighing at most their conceptual weights, so they need
     none of ``Graph``'s checks."""
     conceptual, physical = dn.conceptual, dn.physical
+    c_rows, p_rows = conceptual._nbrs, physical._nbrs
     # Indexed by conceptual node, None where uncovered: faster than a dict.
     pair_of: list[int | None] = [None] * conceptual.n
     physical_of: list[int | None] = [None] * conceptual.n
@@ -173,14 +176,17 @@ def _search(dn: DualNetwork, delta: float, gap_mode: GapWeightRule) -> list:
     for ci, ki in enumerate(pair_of):
         if ki is None:
             continue
-        row = conceptual.neighbors(ci)
+        row = c_rows[ci]
         start = bisect_right(row, ci)
         if matches_only:
-            # None, for an uncovered neighbour, is in no physical row.
-            hits = set(physical.neighbors(physical_of[ci])).intersection(
-                map(to_physical, row[start:]))
-            if not hits:
+            # None, for an uncovered neighbour, is in no physical row, and
+            # most nodes share none of their larger neighbours' physical
+            # nodes with it, which ``isdisjoint`` finds without a new set.
+            hits = set(map(to_physical, row[start:]))
+            p_row = p_rows[physical_of[ci]]
+            if hits.isdisjoint(p_row):
                 continue
+            hits.intersection_update(p_row)
         distance = dict.fromkeys(hits, 1).get if matches_only else None
         for cj, w in islice(conceptual.incident(ci), start, None):
             pj = physical_of[cj]

@@ -8,7 +8,12 @@ once the command has returned, so that no graph the command built is still
 held while the text is built; the other commands return their text.
 ``main`` writes the output to ``--output`` or stdout; ``gen`` writes its own
 files.  Exit codes: 0 success, 1 infeasible result, 2 input/parse error (a
-per-hop gap weight that underflows included), 3 configuration error.
+per-hop gap weight that underflows included, and an output that cannot be
+written, a closed stdout among them), 3 configuration error.
+
+``main`` returns its exit code, for tests and library callers.  ``run``,
+the process entry point of ``python -m dualdense`` and of the ``dualdense``
+script, ends the process as soon as ``main``'s output is flushed.
 """
 
 from __future__ import annotations
@@ -232,5 +237,21 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
 
 
+def run():
+    """``main`` as a process: flush stdout and stderr, skipping a closed
+    (None) one, then ``os._exit`` with ``main``'s code, skipping the
+    interpreter's teardown.  No module registers an ``atexit`` handler and
+    ``main`` closes every file it writes, so the flushes complete the
+    output; one that fails turns success into exit 2."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):
+            code = code or EXIT_INPUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

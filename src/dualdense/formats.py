@@ -133,11 +133,14 @@ def load_correspondence(path: str) -> tuple[tuple[str, str], ...]:
 def write_text(text: str, path: str | None = None) -> None:
     """Write ``text`` as UTF-8 to ``path``, or else to stdout, which gets the
     same bytes whatever its own encoding (a text stream without a byte
-    buffer, such as ``io.StringIO``, is handed the text itself)."""
+    buffer, such as ``io.StringIO``, is handed the text itself).  Raises
+    OSError when stdout is None, as it is in a process started with it closed."""
     data = text.encode("utf-8")
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(data)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed")
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(data)

@@ -204,7 +204,9 @@ class Graph:
             yield self.labels[u], self.labels[v], w
 
     def is_unit_weighted(self) -> bool:
-        return {1.0}.issuperset(chain.from_iterable(self._wts))
+        # Parsed unit rows are one shared tuple per degree: check each row object once.
+        rows = dict(zip(map(id, self._wts), self._wts)).values()
+        return {1.0}.issuperset(chain.from_iterable(rows))
 
     def subgraph(self, members: Iterable[int]) -> "Graph":
         """Induced subgraph with labels preserved: node i of the result is

@@ -412,6 +412,74 @@ def test_module_entry_point(toy_instance):
     assert doc["conceptual_density"] == 2.0
 
 
+def test_piped_output_is_the_whole_output(tmp_path):
+    # ``run`` ends the process by ``os._exit`` once stdout is flushed, so
+    # an output far larger than a pipe's buffer must still arrive whole.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from workloads import WORKLOADS, write_instance
+
+    w = WORKLOADS["scale-d1"]
+    write_instance(w, 311, tmp_path)
+    argv = ["dcs", *dual_args({name: str(tmp_path / f"{name}.tsv")
+                               for name in ("conceptual", "physical", "correspondence")}),
+            *w.flags]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "dualdense", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 64 * 1024
+    assert proc.stdout == out.read_bytes()
+
+
+def test_closed_stdout_exit_2(toy_instance):
+    # A process started with stdout closed has ``sys.stdout`` None: an
+    # output error like an unwritable --output, not a traceback.
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dualdense",
+                           "dcs", *dual_args(toy_instance)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
+
+
+def test_run_exits_once_streams_are_flushed(monkeypatch):
+    # A stream that is None is skipped, and a flush that fails turns a
+    # success into exit 2 but keeps an earlier failure's code.
+    class Broken:
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def exit_with(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli.os, "_exit", exit_with)
+    for stdout, stderr, returned, expected in [(None, None, 0, 0), (Broken(), None, 0, 2),
+                                               (None, Broken(), 1, 1), (sys.stdout, None, 3, 3)]:
+        monkeypatch.setattr(cli, "main", lambda: returned)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == expected
+
+
+def test_script_target_is_the_module_entry_point():
+    # ``[project.scripts]`` and ``python -m dualdense`` run one function.
+    tomllib = pytest.importorskip("tomllib")
+    import ast
+    import importlib
+
+    import dualdense.__main__ as entry
+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["dualdense"]
+    module, _, name = target.partition(":")
+    guard = next(node for node in ast.parse(Path(entry.__file__).read_text()).body
+                 if isinstance(node, ast.If))
+    [call] = [node.value for node in guard.body if isinstance(node, ast.Expr)]
+    assert getattr(entry, call.func.id) is getattr(importlib.import_module(module), name)
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 @pytest.mark.parametrize("command", [
     ["dcs"], ["dcs", "--format", "dot"], ["align"], ["align", "--format", "graphml"], ["oracle"],

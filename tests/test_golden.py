@@ -83,6 +83,21 @@ def test_golden_output(instance, case):
     assert stdout == _read(GOLDEN / instance / f"{case}.out")
 
 
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.startswith("dcs-")))
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_module_entry_point_gives_the_golden_output(instance, case):
+    # ``python -m dualdense`` ends the process once ``main``'s output is
+    # flushed; what reached stdout and stderr, and the exit code, must be
+    # what the in-process run gives (exit 1 on ``irreparable`` included).
+    status = json.loads(_read(GOLDEN / "status.json"))
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "dualdense", *CASES[case]],
+                          cwd=GOLDEN / instance, env=env, capture_output=True)
+    assert [proc.returncode, proc.stderr.decode("utf-8")] == status[f"{instance}/{case}"]
+    with open(GOLDEN / instance / f"{case}.out", "rb") as fh:
+        assert proc.stdout == fh.read()
+
+
 def test_output_does_not_depend_on_string_hashing():
     # One process keeps one string-hash seed, so only fresh interpreters
     # with different seeds show output that follows set or dict order.
