@@ -19,7 +19,8 @@ class DualNetwork:
     are its node indices in the two graphs, which ``align``, the oracle and
     ``cli gen`` read; the methods below answer in pair ids.  Nodes of either
     graph that appear in no pair stay in their graphs but are excluded from
-    alignment and from any extracted subgraph.  ``pair_of_conceptual``,
+    alignment and from any extracted subgraph.  Graphs keep no label
+    lookup, so ``__init__`` builds its own two.  ``pair_of_conceptual``,
     which no pipeline stage reads, and ``pair_graph``, which only repair
     and the oracle read, are built on first read.
     """
@@ -29,9 +30,10 @@ class DualNetwork:
 
     def __init__(self, conceptual: Graph, physical: Graph,
                  pairs: Iterable[tuple[str, str]]):
-        c_index, p_index = conceptual._index, physical._index
-        pair_conceptual: list = []
-        pair_physical: list = []
+        # One id list serves both maps, so the pair tables share its ints.
+        ids = list(range(max(conceptual.n, physical.n)))
+        c_index, p_index = (dict(zip(g.labels, ids)) for g in (conceptual, physical))
+        pair_conceptual, pair_physical = [], []
         dangling: dict[str, None] = {}  # insertion-ordered set
         for c, p in pairs:
             i, j = c_index.get(c), p_index.get(p)
@@ -76,9 +78,6 @@ class DualNetwork:
 
     def conceptual_nodes(self, members: Iterable[int]) -> set[int]:
         return {self.pair_conceptual[k] for k in self._check(members)}
-
-    def physical_nodes(self, members: Iterable[int]) -> set[int]:
-        return {self.pair_physical[k] for k in self._check(members)}
 
     def conceptual_density(self, members: Iterable[int]) -> float:
         """Conceptual density of a set of pair ids."""

@@ -82,7 +82,7 @@ def parse_edge_list(source: Iterable[str], weighted: bool, name: str | None = No
     # Graph rejects edge weights whose total overflows; that is an input
     # error too, so it becomes a ParseError naming the file.
     try:
-        g._finish(index, nbrs, wts if weighted else None)
+        g._finish(tuple(index), nbrs, wts if weighted else None)
     except ValueError as exc:
         raise ParseError(str(exc), None, name) from None
     return g

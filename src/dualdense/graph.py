@@ -55,13 +55,12 @@ class Graph:
     share one immutable empty row with the other edgeless nodes, and the
     unit-weight rows of nodes of one degree may be one shared tuple.
 
-    ``_index`` maps each label to its id.  A graph built from labels keeps
-    the map its checking loop interned them with; a graph derived from
-    another (``subgraph``, the alignment graph) builds it on first read.
+    A graph keeps its labels and rows and nothing derived from them: a
+    reader that maps labels to ids builds its own map, and ``edge_count``
+    and ``total_weight`` are counted from the rows when read.
     """
 
-    __slots__ = ("labels", "_label_index", "_nbrs", "_wts", "edge_count",
-                 "total_weight", "duplicates_collapsed")
+    __slots__ = ("labels", "_nbrs", "_wts", "duplicates_collapsed")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[IndexEdge]):
         labels = tuple(labels)
@@ -91,13 +90,13 @@ class Graph:
             wts[u].append(w)
             nbrs[v].append(ids[u])
             wts[v].append(w)
-        self._finish(index, nbrs, wts)
+        self._finish(labels, nbrs, wts)
 
-    def _finish(self, index: dict[str, int], nbrs: list[list[int]],
+    def _finish(self, labels: tuple[str, ...], nbrs: list[list[int]],
                 wts: list[list[float]] | None) -> None:
-        """The one row finisher: this graph over ``index`` (label -> id, in
-        id order) and, per node, the unsorted rows of its input edges'
-        other ends and weights, or ``wts`` None when every weight is 1.0.
+        """The one row finisher: this graph over ``labels`` and, per node,
+        the unsorted rows of its input edges' other ends and weights, or
+        ``wts`` None when every weight is 1.0.
 
         Each row becomes a tuple sorted by neighbour, where a repeated
         neighbour keeps its largest weight; ``duplicates_collapsed`` counts
@@ -105,34 +104,23 @@ class Graph:
         tuple per degree d.  Tuples of ints and floats drop out of the
         cyclic collector's scans."""
         seen = sum(map(len, nbrs)) // 2
+        self.labels, self._nbrs = labels, nbrs
         if wts is None:
             for u, row in enumerate(nbrs):
                 row.sort()
                 nbrs[u] = tuple(row) if len(set(row)) == len(row) else tuple(sorted(set(row)))
             unit = {d: (1.0,) * d for d in set(map(len, nbrs))}
-            wts = [unit[len(row)] for row in nbrs]
+            self._wts = [unit[len(row)] for row in nbrs]
         else:
             for u, row in enumerate(nbrs):
                 # Sorted pairs put a neighbour's largest weight last; the dict keeps it.
                 kept = dict(sorted(zip(row, wts[u])))
                 nbrs[u], wts[u] = tuple(kept), tuple(kept.values())
-        self._set_rows(tuple(index), index, nbrs, wts)
+            self._wts = wts
+            # Densities sum volumes, so twice the total weight must stay finite.
+            if not math.isfinite(2.0 * self.total_weight):
+                raise ValueError("edge weights too large: twice their total overflows a float")
         self.duplicates_collapsed = seen - self.edge_count
-        # Densities sum volumes, so twice the total weight must stay finite.
-        if not math.isfinite(2.0 * self.total_weight):
-            raise ValueError("edge weights too large: twice their total overflows a float")
-
-    def _set_rows(self, labels: tuple[str, ...], index: dict[str, int] | None,
-                  nbrs: list[Sequence[int]], wts: list[Sequence[float]]) -> None:
-        """Keep finished rows over ``labels`` and their ``index``, None to
-        build it on first read, and count their edges and total weight."""
-        self.labels, self._label_index, self._nbrs, self._wts = labels, index, nbrs, wts
-        self.edge_count = sum(map(len, nbrs)) // 2
-        # Each weight is in two rows; halving their exact sum is exact.
-        try:
-            self.total_weight = math.fsum(chain.from_iterable(wts)) / 2
-        except OverflowError:
-            self.total_weight = math.inf
 
     @classmethod
     def _from_rows(cls, labels: Sequence[str], nbrs: list[Sequence[int]],
@@ -141,7 +129,7 @@ class Graph:
         from data already keeping every rule ``__init__`` checks, so none is
         checked again."""
         g = cls.__new__(cls)
-        g._set_rows(tuple(labels), None, nbrs, wts)
+        g.labels, g._nbrs, g._wts = tuple(labels), nbrs, wts
         g.duplicates_collapsed = 0
         return g
 
@@ -173,10 +161,16 @@ class Graph:
         return len(self.labels)
 
     @property
-    def _index(self) -> dict[str, int]:
-        if self._label_index is None:
-            self._label_index = dict(zip(self.labels, range(self.n)))
-        return self._label_index
+    def edge_count(self) -> int:
+        return sum(map(len, self._nbrs)) // 2
+
+    @property
+    def total_weight(self) -> float:
+        # Each weight is in two rows; halving their exact sum is exact.
+        try:
+            return math.fsum(chain.from_iterable(self._wts)) / 2
+        except OverflowError:
+            return math.inf
 
     def neighbors(self, u: int) -> Sequence[int]:
         return self._nbrs[u]
@@ -413,15 +407,16 @@ def distances_from(g: Graph, s: int,
 
 
 def connected_components(g: Graph, members: Iterable[int] | None = None) -> list[list[int]]:
-    """Partition of the member set into maximal mutually reachable blocks
-    within the induced subgraph, ordered by smallest contained index."""
-    S = set(check_ids(members, g.n)) if members is not None else set(range(g.n))
+    """Partition of the member set, by default every node, into maximal
+    mutually reachable blocks within the induced subgraph, ordered by
+    smallest contained index."""
+    within = None if members is None else set(check_ids(members, g.n))
     seen: set[int] = set()
     components: list[list[int]] = []
-    for start in sorted(S):
+    for start in range(g.n) if within is None else sorted(within):
         if start in seen:
             continue
-        comp = reach(g, (start,), within=S)
+        comp = reach(g, (start,), within=within)
         seen |= comp
         components.append(sorted(comp))
     return components

@@ -87,7 +87,7 @@ def verify_physical_connectivity(dn: DualNetwork, members: Iterable[int],
     if not isinstance(mode, Connectivity):
         raise ConfigError(f"unknown connectivity mode: {mode!r}")
     delta = 1 if mode is Connectivity.STRICT else check_delta(delta)
-    remaining = dn.physical_nodes(members)
+    remaining = {dn.pair_physical[k] for k in dn._check(members)}
     if not remaining:
         return True
     # Breadth-first search of the auxiliary graph, one layer per ball: the
@@ -167,11 +167,16 @@ def extract_dcs(dn: DualNetwork, opts: DcsOptions | None = None) -> DcsResult:
 
     The peeled subgraph may span several alignment-graph components; the
     one with maximum conceptual density is kept (ties: larger size, then
-    lexicographically smallest).  Raises NoFeasibleSubgraph when the
-    alignment graph has no edges, and IrreparableDisconnection (carrying the
-    unrepaired result) when strict repair is impossible.
+    lexicographically smallest).  Raises ConfigError for a bad option before
+    any work, NoFeasibleSubgraph when the alignment graph has no edges, and
+    IrreparableDisconnection (carrying the unrepaired result) when strict
+    repair is impossible.
     """
     opts = opts or DcsOptions()
+    if not isinstance(opts.connectivity, Connectivity):
+        raise ConfigError(f"unknown connectivity mode: {opts.connectivity!r}")
+    if not isinstance(opts.repair, bool):
+        raise ConfigError(f"repair must be True or False, got {opts.repair!r}")
     ag = build_alignment_graph(dn, opts.delta, opts.gap_mode)
     if ag.graph.edge_count == 0:
         raise NoFeasibleSubgraph(

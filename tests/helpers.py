@@ -11,7 +11,7 @@ import random
 from collections import Counter, deque
 from itertools import combinations
 
-from dualdense import (AlignmentGraph, DensestResult, DualNetwork, Graph,
+from dualdense import (AlignmentGraph, DensestResult, DualNetwork, GapWeightRule, Graph,
                        IrreparableDisconnection, ParseError, PeelTrace, density)
 
 
@@ -116,6 +116,14 @@ def hub_dual(rng: random.Random, n: int, p_conc: float = 0.3) -> DualNetwork:
     conceptual = Graph([f"c{i}" for i in range(n)], conc)
     return DualNetwork(conceptual, physical,
                        tuple((f"c{i}", f"v{i}") for i in range(n)))
+
+
+def identity_dual(conc_edges, phys_edges, labels) -> DualNetwork:
+    """Dual network whose graphs share ``labels``, each node paired with
+    its namesake: conceptual edges ``(u, v, w)``, physical edges ``(u, v)``."""
+    conceptual = Graph(labels, conc_edges)
+    physical = Graph(labels, [(u, v, 1.0) for u, v in phys_edges])
+    return DualNetwork(conceptual, physical, tuple((lab, lab) for lab in labels))
 
 
 def edge_weight(g: Graph, u: int, v: int) -> float | None:
@@ -324,6 +332,29 @@ def bfs_hops(g: Graph, src: int, dst: int) -> int | None:
                     return dist[y]
                 queue.append(y)
     return None
+
+
+def reference_alignment(dn: DualNetwork, delta: float,
+                        mode: GapWeightRule) -> dict[tuple[int, int], tuple[str, int, float]]:
+    """Quadratic reimplementation of the alignment graph: every composite
+    pair against the match/gap/threshold rules, with its own BFS."""
+    edges = {}
+    n = dn.pair_count
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = dn.pair_conceptual[i], dn.pair_conceptual[j]
+            w = edge_weight(dn.conceptual, ci, cj)
+            if w is None:
+                continue
+            pi, pj = dn.pair_physical[i], dn.pair_physical[j]
+            if dn.physical.has_edge(pi, pj):
+                edges[(i, j)] = ("match", 1, w)
+            else:
+                d = bfs_hops(dn.physical, pi, pj)
+                if d is not None and d <= delta:
+                    gw = w if mode is GapWeightRule.CONCEPTUAL else w / d
+                    edges[(i, j)] = ("gap", d, gw)
+    return edges
 
 
 def least_shortest_path(g: Graph, sources, targets) -> list[int] | None:

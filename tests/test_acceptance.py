@@ -18,8 +18,8 @@ from dualdense import (Connectivity, DcsOptions, GapWeightRule, Graph,
                        generate_planted, peel, verify_physical_connectivity)
 from dualdense.align import build_alignment_graph
 from dualdense.cli import main
-from helpers import (bfs_hops, check_peel_order, edge_weight, exact_densest, kind_of,
-                     random_dual_network, random_graph, subset_density)
+from helpers import (check_peel_order, exact_densest, kind_of, random_dual_network,
+                     random_graph, reference_alignment, subset_density)
 
 REL_TOL = 1e-9
 
@@ -110,26 +110,6 @@ def test_c4_match_only_soundness():
            all_connected, "100/100" if all_connected else "connectivity violated")
 
 
-def _reference_alignment(dn, delta, mode):
-    """Brute-force reimplementation: every composite pair against the
-    match/gap/threshold rules, with its own BFS."""
-    edges = {}
-    for i in range(dn.pair_count):
-        for j in range(i + 1, dn.pair_count):
-            w = edge_weight(dn.conceptual, dn.pair_conceptual[i], dn.pair_conceptual[j])
-            if w is None:
-                continue
-            pi, pj = dn.pair_physical[i], dn.pair_physical[j]
-            if dn.physical.has_edge(pi, pj):
-                edges[(i, j)] = ("match", 1, w)
-            else:
-                d = bfs_hops(dn.physical, pi, pj)
-                if d is not None and d <= delta:
-                    gw = w if mode is GapWeightRule.CONCEPTUAL else w / d
-                    edges[(i, j)] = ("gap", d, gw)
-    return edges
-
-
 def test_c5_alignment_graph_correctness():
     mismatches = 0
     for seed in range(50):
@@ -143,7 +123,7 @@ def test_c5_alignment_graph_correctness():
                 for u, v, w in ag.graph.edges():
                     kind, dist = kind_of(ag, u, v)
                     actual[(u, v)] = (kind, dist, w)
-                expected = _reference_alignment(dn, delta, mode)
+                expected = reference_alignment(dn, delta, mode)
                 if actual.keys() != expected.keys():
                     mismatches += 1
                     continue

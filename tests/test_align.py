@@ -19,7 +19,7 @@ from dualdense.align import GAP, MATCH, composite_label, parse_delta
 from dualdense.formats import load_correspondence, load_graph
 from dualdense.graph import distances_from
 from helpers import (assert_same_rows, bfs_hops, candidates, edge_weight, hub_dual, kind_of,
-                     random_dual_network, random_partial_dual)
+                     random_dual_network, random_partial_dual, reference_alignment)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -115,27 +115,6 @@ class TestBuildAlignmentGraph:
         assert ag.graph.n == 2
         assert ag.graph.edge_count == 1
         assert edge_weight(ag.graph, 0, 1) == 0.5
-
-
-def reference_alignment(dn, delta, mode):
-    """Quadratic reimplementation: test every composite-node pair directly."""
-    edges = {}
-    n = dn.pair_count
-    for i in range(n):
-        for j in range(i + 1, n):
-            ci, cj = dn.pair_conceptual[i], dn.pair_conceptual[j]
-            w = edge_weight(dn.conceptual, ci, cj)
-            if w is None:
-                continue
-            pi, pj = dn.pair_physical[i], dn.pair_physical[j]
-            if dn.physical.has_edge(pi, pj):
-                edges[(i, j)] = ("match", 1, w)
-            else:
-                d = bfs_hops(dn.physical, pi, pj)
-                if d is not None and d <= delta:
-                    gw = w if mode is GapWeightRule.CONCEPTUAL else w / d
-                    edges[(i, j)] = ("gap", d, gw)
-    return edges
 
 
 # random_dual_network maps node i to node i of the other graph and to pair i;

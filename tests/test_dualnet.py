@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdense import (DcsOptions, DualNetwork, GapWeightRule, Graph, IrreparableDisconnection,
-                       build_alignment_graph, density, extract_dcs)
+from dualdense import (Connectivity, DcsOptions, DualNetwork, GapWeightRule, Graph,
+                       IrreparableDisconnection, build_alignment_graph, density, extract_dcs,
+                       verify_physical_connectivity)
 from dualdense.formats import parse_correspondence, parse_edge_list
 from helpers import edge_weight, random_dual_network, random_partial_dual, subset_density
 
@@ -109,11 +110,10 @@ class TestDualNetwork:
         assert dn.pair_graph.labels == ("v1", "v3")
 
     def test_over_subgraphs_resolves_labels(self):
-        # A subgraph builds its label index only when first read; a dual
-        # network over two subgraphs reads both, and reports as before.
+        # A dual network over two subgraphs resolves labels to their new
+        # ids, and reports as before.
         c, p = small_pair()
         cs, ps = c.subgraph([2, 0, 1]), p.subgraph([1, 0, 2])
-        assert cs._label_index is None and ps._label_index is None
         dn = DualNetwork(cs, ps, (("w1", "v1"), ("w3", "v2")))
         assert dn.pair_conceptual == [1, 0] and dn.pair_physical == [1, 0]
         assert dn.pairs == (("w1", "v1"), ("w3", "v2"))
@@ -128,21 +128,16 @@ class TestDualNetwork:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
 def test_unread_lookups_are_built_on_first_read(seed, n):
-    # No stage of a run reads ``pair_of_conceptual`` or the label index of
-    # the alignment graph or ``pair_graph``, so a run builds none of them.
+    # No stage of a run reads ``pair_of_conceptual``, so a run never builds it.
     rng = random.Random(seed)
     dn = random_partial_dual(rng, n)
     opts = DcsOptions(delta=rng.choice([1, 2, math.inf]),
                       gap_mode=rng.choice(list(GapWeightRule)))
     try:
-        alignment = extract_dcs(dn, opts).alignment.graph
+        extract_dcs(dn, opts)
     except IrreparableDisconnection:
-        alignment = build_alignment_graph(dn, opts.delta, opts.gap_mode).graph
+        pass
     assert dn._pair_of_conceptual is None
-    for g in (alignment, dn.pair_graph):
-        assert g._label_index is None
-        assert g._index == {label: i for i, label in enumerate(g.labels)}
-        assert g._index is g._label_index
     assert dn.pair_of_conceptual == {i: k for k, i in enumerate(dn.pair_conceptual)}
     assert dn.pair_of_conceptual is dn._pair_of_conceptual
 
@@ -151,7 +146,7 @@ def induced(dn, members):
     """Conceptual and physical subgraphs induced by pair ids, read off the
     pair tables."""
     return (dn.conceptual.subgraph(dn.conceptual_nodes(members)),
-            dn.physical.subgraph(dn.physical_nodes(members)))
+            dn.physical.subgraph({dn.pair_physical[k] for k in members}))
 
 
 class TestInduced:
@@ -185,14 +180,15 @@ class TestInduced:
             with pytest.raises(ValueError, match="is not a correspondence pair id"):
                 dn.conceptual_nodes(members)
             with pytest.raises(ValueError, match="is not a correspondence pair id"):
-                dn.physical_nodes(members)
+                verify_physical_connectivity(dn, members, Connectivity.STRICT)
 
     @pytest.mark.parametrize("members", [[True, 2], [False], [1, True]])
     def test_bool_pair_id_rejected(self, members):
         # True and False would act as pair ids 1 and 0, and set([1, True])
         # keeps only the 1.
         dn = self.make()
-        for check in (dn.conceptual_nodes, dn.physical_nodes, dn.conceptual_density):
+        for check in (dn.conceptual_nodes, dn.conceptual_density,
+                      lambda m: verify_physical_connectivity(dn, m, Connectivity.STRICT)):
             with pytest.raises(ValueError, match="^True is not|^False is not"):
                 check(members)
 

@@ -173,16 +173,15 @@ def test_subgraph_keeps_member_order_and_drops_repeats():
     assert g.subgraph([0, 1, 3]).labels == ("a", "b", "d")
 
 
-def test_derived_graphs_build_their_label_index_on_first_read():
-    # Graphs built from labels keep the index they interned them with.
+def test_graphs_keep_only_labels_and_rows():
+    # Built from labels or derived, a graph keeps no label index, edge
+    # count or weight total: the last two are counted from its rows when read.
+    assert Graph.__slots__ == ("labels", "_nbrs", "_wts", "duplicates_collapsed")
     g = Graph(list("abcd"), [(0, 1, 0.5), (1, 3, 2.0), (2, 3, 1.0)])
     parsed = parse_edge_list(io.StringIO("a b 0.5\nb d 2.0\n"), weighted=True)
-    assert g._label_index == {"a": 0, "b": 1, "c": 2, "d": 3}
-    assert parsed._label_index == {"a": 0, "b": 1, "d": 2}
-    for h in (g.subgraph([3, 1, 0]), Graph._from_edges(("x", "y"), [(0, 1, 1.0)])):
-        assert h._label_index is None
-        assert h._index == {label: i for i, label in enumerate(h.labels)}
-        assert h._index is h._label_index
+    for h, edges, total in ((g, 3, 3.5), (parsed, 2, 2.5), (g.subgraph([3, 1, 0]), 2, 2.5),
+                            (Graph._from_edges(("x", "y"), [(0, 1, 1.0)]), 1, 1.0)):
+        assert (h.edge_count, h.total_weight) == (edges, total)
 
 
 @settings(max_examples=100, deadline=None)
@@ -592,6 +591,8 @@ def test_components_partition(g, seed):
     for comp in comps:
         sub = g.subgraph(comp)
         assert len(connected_components(sub)) <= 1
+    # With no member set, every node is a member.
+    assert connected_components(g) == connected_components(g, range(g.n))
 
 
 def test_graphs_equal_by_labels():

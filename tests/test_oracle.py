@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 from dualdense import (ConfigError, Connectivity, DcsOptions,
                        DualNetwork, Graph, brute_force_dcs, extract_dcs,
                        verify_physical_connectivity)
-from helpers import brute_dcs, physically_connected, random_dual_network, random_partial_dual
-
-
-def identity_dual(conc_edges, phys_edges, labels):
-    conceptual = Graph(labels, conc_edges)
-    physical = Graph(labels, [(u, v, 1.0) for u, v in phys_edges])
-    corr = tuple((lab, lab) for lab in labels)
-    return DualNetwork(conceptual, physical, corr)
+from helpers import (brute_dcs, identity_dual, physically_connected, random_dual_network,
+                     random_partial_dual)
 
 
 class TestBruteForceDcs:

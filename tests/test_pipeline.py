@@ -16,14 +16,9 @@ from dualdense import (ConfigError, Connectivity, DcsOptions, DualNetwork,
                        verify_physical_connectivity)
 from dualdense.formats import parse_edge_list
 from dualdense.graph import nearest
-from helpers import (brute_dcs, hub_dual, physically_connected, random_dual_network,
-                     random_graph, random_partial_dual, reference_repair, relaxed_connected)
-
-
-def identity_dual(conc_edges, phys_edges, labels):
-    conceptual = Graph(labels, conc_edges)
-    physical = Graph(labels, [(u, v, 1.0) for u, v in phys_edges])
-    return DualNetwork(conceptual, physical, tuple((lab, lab) for lab in labels))
+from helpers import (brute_dcs, hub_dual, identity_dual, physically_connected,
+                     random_dual_network, random_graph, random_partial_dual, reference_repair,
+                     relaxed_connected)
 
 
 def triangle_with_tail():
@@ -93,6 +88,17 @@ class TestExtractDcs:
     def test_bad_options_raise_config_error(self, opts):
         with pytest.raises(ConfigError):
             extract_dcs(triangle_with_tail(), opts)
+
+    @pytest.mark.parametrize("opts", [DcsOptions(connectivity="strict"), DcsOptions(repair="no"),
+                                      DcsOptions(repair=1), DcsOptions(repair=None)],
+                             ids=["connectivity-string", "repair-string", "repair-int",
+                                  "repair-none"])
+    def test_bad_options_are_refused_before_the_build(self, opts):
+        dn = triangle_with_tail()
+        with mock.patch("dualdense.pipeline.build_alignment_graph",
+                        side_effect=AssertionError("built with a bad option")):
+            with pytest.raises(ConfigError, match="connectivity|repair"):
+                extract_dcs(dn, opts)
 
     def test_relaxed_mode_reports_detour_connectivity(self):
         clabels = ["w0", "w1"]
